@@ -6,7 +6,8 @@ every zeroing mode, next to the reference values tabulated in the source
 material. Output feeds the sensitivity table in the README.
 """
 
-from greyrisk import RunConfig, ZeroingMode, load_bundled_case, run_assessment
+from greyrisk import RunConfig, ZeroingMode, run_assessment
+from greyrisk.pipeline import load_bundled_case
 
 REFERENCE = {
     "area1": (0.89, 0.97, 0.46),

@@ -7,60 +7,22 @@ and seven-grade risk classification.
 """
 
 from ._meta import VERSION as __version__
-from .incidence import (
-    IncidenceFamilyResult,
-    ZeroingMode,
-    incidence_family,
-    local_volume,
-    volume_difference,
-    zeroing_image,
-)
-from .io import (
-    InputFormatError,
-    compute_fingerprint,
-    emit_report,
-    input_from_dict,
-    input_to_dict,
-    input_to_json,
-    load_input,
-    write_trace,
-)
+from .incidence import ZeroingMode, incidence_family, local_volume, zeroing_image
+from .io import InputFormatError, load_input
 from .model import (
     AreaSeries,
     AssessmentInput,
     IndexDefinition,
     Orientation,
-    OrientationKind,
-    StageMatrices,
     ValidationError,
     default_wui_schema,
-    validate_input,
 )
-from .normalize import (
-    IndexExtrema,
-    compute_extrema,
-    standardize_all,
-    standardize_benefit,
-    standardize_cost,
-    standardize_intermediate,
-    standardize_interval,
-)
-from .pipeline import (
-    AreaAssessment,
-    AssessmentReport,
-    AssessmentResult,
-    RunConfig,
-    demo,
-    load_bundled_case,
-    run_assessment,
-)
+from .normalize import standardize_all
+from .pipeline import RunConfig, run_assessment
 from .ranking import (
-    RISK_THRESHOLDS,
     DegenerateAssessmentError,
-    RankedArea,
     RiskLevel,
     classify,
-    objective_H,
     rank_areas,
     superiority_degree,
 )
@@ -68,52 +30,27 @@ from .weighting import apply_weights, negative_ideal, positive_ideal
 
 __all__ = [
     "__version__",
-    "AreaAssessment",
     "AreaSeries",
     "AssessmentInput",
-    "AssessmentReport",
-    "AssessmentResult",
     "DegenerateAssessmentError",
-    "IncidenceFamilyResult",
     "IndexDefinition",
-    "IndexExtrema",
     "InputFormatError",
     "Orientation",
-    "OrientationKind",
-    "RISK_THRESHOLDS",
-    "RankedArea",
     "RiskLevel",
     "RunConfig",
-    "StageMatrices",
     "ValidationError",
     "ZeroingMode",
     "apply_weights",
     "classify",
-    "compute_extrema",
-    "compute_fingerprint",
     "default_wui_schema",
-    "demo",
-    "emit_report",
     "incidence_family",
-    "input_from_dict",
-    "input_to_dict",
-    "input_to_json",
-    "load_bundled_case",
     "load_input",
     "local_volume",
     "negative_ideal",
-    "objective_H",
     "positive_ideal",
     "rank_areas",
     "run_assessment",
     "standardize_all",
-    "standardize_benefit",
-    "standardize_cost",
-    "standardize_intermediate",
-    "standardize_interval",
     "superiority_degree",
-    "validate_input",
-    "volume_difference",
-    "write_trace",
     "zeroing_image",
 ]

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -43,89 +42,79 @@ class ZeroingMode(str, Enum):
 
 @dataclass(frozen=True)
 class IncidenceFamilyResult:
-    """Incidence of each factor matrix against one shared reference.
+    """Incidence of every area against one shared reference.
 
-    The extreme differences d_max/d_min are taken jointly over every
-    factor's volume difference matrix, so coefficients of different factors
-    are on a common scale.
+    ``volume_diffs`` is the (n, m-1, T-1) array D of absolute local volume
+    differences from the reference; ``degrees`` holds the n incidence
+    degrees. The extreme differences d_max/d_min are taken jointly over all
+    areas, so coefficients of different areas are on a common scale.
     """
 
-    reference_label: str
-    volume_diffs: tuple[np.ndarray, ...]
+    volume_diffs: np.ndarray
     d_max: float
     d_min: float
-    coefficients: tuple[np.ndarray, ...]
-    degrees: tuple[float, ...]
+    degrees: np.ndarray
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        """Grey coefficients of every area, shaped like ``volume_diffs``."""
+        return grey_coefficients(self.volume_diffs, self.d_max, self.d_min)
 
 
 def zeroing_image(c: np.ndarray, mode: ZeroingMode = ZeroingMode.FIRST_COLUMN) -> np.ndarray:
+    """Re-base matrices stored in the last two axes (m, T) of ``c``.
+
+    NONE returns ``c`` itself rather than a copy.
+    """
     c = np.asarray(c, dtype=float)
     mode = ZeroingMode(mode)
     if mode is ZeroingMode.FIRST_COLUMN:
-        return c - c[:, :1]
+        return c - c[..., :1]
     if mode is ZeroingMode.FIRST_ELEMENT:
-        return c - c[0, 0]
-    return c.copy()
+        return c - c[..., :1, :1]
+    return c
 
 
 def local_volume(ctilde: np.ndarray) -> np.ndarray:
-    """(m-1) x (T-1) matrix of signed volumes under the zeroed surface.
+    """Signed volumes under zeroed surfaces stored in the last two axes.
 
-    Cell (i, j) integrates the surface spanned by the 2x2 window at (i, j),
-    triangulated along the window's anti-diagonal.
+    An (..., m, T) input gives (..., m-1, T-1) volumes. Cell (i, j)
+    integrates the surface spanned by the 2x2 window at (i, j), triangulated
+    along the window's anti-diagonal.
     """
     z = np.asarray(ctilde, dtype=float)
-    if z.ndim != 2 or z.shape[0] < 2 or z.shape[1] < 2:
+    if z.ndim < 2 or z.shape[-2] < 2 or z.shape[-1] < 2:
         raise ValueError(f"local volume needs at least a 2x2 matrix, got shape {z.shape}")
-    return (z[:-1, :-1] + z[1:, 1:]) / 6.0 + (z[1:, :-1] + z[:-1, 1:]) / 3.0
+    return ((z[..., :-1, :-1] + z[..., 1:, 1:]) / 6.0
+            + (z[..., 1:, :-1] + z[..., :-1, 1:]) / 3.0)
 
 
-def volume_difference(d0: np.ndarray, dk: np.ndarray) -> np.ndarray:
-    """Elementwise absolute difference of two local volume matrices."""
-    d0 = np.asarray(d0, dtype=float)
-    dk = np.asarray(dk, dtype=float)
-    if d0.shape != dk.shape:
-        raise ValueError(f"shape mismatch: {d0.shape} vs {dk.shape}")
-    return np.abs(d0 - dk)
+def grey_coefficients(diffs: np.ndarray, d_max: float, d_min: float) -> np.ndarray:
+    """G = (d_max - D) / (d_max - d_min), or all ones when d_max = d_min.
 
-
-def incidence_family(
-    reference: np.ndarray,
-    factors: Sequence[np.ndarray],
-    mode: ZeroingMode = ZeroingMode.FIRST_COLUMN,
-    reference_label: str = "reference",
-) -> IncidenceFamilyResult:
-    """Volumetric incidence degree of every factor against the reference.
-
-    Per factor k: coefficient matrix G(k) = (d_max - D0k) / (d_max - d_min)
-    and degree = mean of G(k). Two degenerate situations yield all-ones
-    coefficients: d_max = 0 (every factor matches the reference exactly)
-    and d_max = d_min != 0 (all differences equal, so no discrimination is
-    possible).
+    The degenerate branch covers d_max = 0 (every area matches the reference
+    exactly) and d_max = d_min != 0 (all differences equal, so no
+    discrimination is possible).
     """
-    ref = np.asarray(reference, dtype=float)
-    if len(factors) == 0:
-        raise ValueError("at least one factor matrix required")
-    mats = [np.asarray(f, dtype=float) for f in factors]
-    for k, f in enumerate(mats):
-        if f.shape != ref.shape:
-            raise ValueError(f"factor {k} shape {f.shape} does not match reference {ref.shape}")
-
-    d0 = local_volume(zeroing_image(ref, mode))
-    diffs = tuple(volume_difference(d0, local_volume(zeroing_image(f, mode))) for f in mats)
-    d_max = float(max(d.max() for d in diffs))
-    d_min = float(min(d.min() for d in diffs))
-
     if d_max == d_min:
-        coeffs = tuple(np.ones_like(d) for d in diffs)
-    else:
-        coeffs = tuple((d_max - d) / (d_max - d_min) for d in diffs)
-    degrees = tuple(float(g.mean()) for g in coeffs)
-    return IncidenceFamilyResult(
-        reference_label=reference_label,
-        volume_diffs=diffs,
-        d_max=d_max,
-        d_min=d_min,
-        coefficients=coeffs,
-        degrees=degrees,
-    )
+        return np.ones_like(diffs)
+    return (d_max - diffs) / (d_max - d_min)
+
+
+def incidence_family(reference_volume: np.ndarray, volumes: np.ndarray) -> IncidenceFamilyResult:
+    """Volumetric incidence degree of every area against the reference.
+
+    ``volumes`` is the (n, m-1, T-1) local volume array of all areas and
+    ``reference_volume`` the (m-1, T-1) local volumes of the reference. Each
+    area's degree is the mean of its grey coefficient matrix.
+    """
+    ref = np.asarray(reference_volume, dtype=float)
+    vols = np.asarray(volumes, dtype=float)
+    if vols.shape[1:] != ref.shape:
+        raise ValueError(f"shape mismatch: volumes {vols.shape} vs reference {ref.shape}")
+    if len(vols) == 0:
+        raise ValueError("at least one area required")
+    diffs = np.abs(vols - ref)
+    d_max, d_min = float(diffs.max()), float(diffs.min())
+    degrees = grey_coefficients(diffs, d_max, d_min).mean(axis=(-2, -1))
+    return IncidenceFamilyResult(volume_diffs=diffs, d_max=d_max, d_min=d_min, degrees=degrees)

@@ -66,14 +66,24 @@ def _parse_orientation(raw, locus: str) -> Orientation:
         bounds = raw["interval"]
         if not (isinstance(bounds, (list, tuple)) and len(bounds) == 2):
             raise InputFormatError(f"{locus}: interval bounds must be a [low, high] pair")
-        return Orientation.interval(float(bounds[0]), float(bounds[1]))
+        return Orientation.interval(_number(bounds[0], locus, "interval low"),
+                                    _number(bounds[1], locus, "interval high"))
     raise InputFormatError(
         f"{locus}: orientation must be one of {', '.join(_ORIENTATION_NAMES)} "
         'or {"interval": [low, high]}'
     )
 
 
+def _number(raw, locus: str, field: str) -> float:
+    try:
+        return float(raw)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputFormatError(f"{locus}: {field} must be a number, got {raw!r}") from exc
+
+
 def _require(d: dict, key: str, locus: str):
+    if not isinstance(d, dict):
+        raise InputFormatError(f"{locus}: expected an object, got {type(d).__name__}")
     if key not in d:
         raise InputFormatError(f"{locus}: missing required field '{key}'")
     return d[key]
@@ -91,14 +101,14 @@ def input_from_dict(doc: dict) -> AssessmentInput:
                 id=str(_require(entry, "id", locus)),
                 name=str(_require(entry, "name", locus)),
                 orientation=_parse_orientation(_require(entry, "orientation", locus), locus),
-                weight=float(_require(entry, "weight", locus)),
+                weight=_number(_require(entry, "weight", locus), locus, "weight"),
             )
         )
     labels, time_weights = [], []
     for k, entry in enumerate(_require(doc, "periods", "input")):
         locus = f"periods[{k}]"
         labels.append(str(_require(entry, "label", locus)))
-        time_weights.append(float(_require(entry, "weight", locus)))
+        time_weights.append(_number(_require(entry, "weight", locus), locus, "weight"))
     areas = []
     for k, entry in enumerate(_require(doc, "areas", "input")):
         locus = f"areas[{k}]"
@@ -106,7 +116,7 @@ def input_from_dict(doc: dict) -> AssessmentInput:
         values = _require(entry, "values", locus)
         try:
             arr = np.array(values, dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InputFormatError(
                 f"{locus} ('{name}'): values must be a rectangular grid of numbers: {exc}"
             ) from exc
@@ -373,12 +383,14 @@ def write_trace(trace: StageMatrices, out_dir) -> list[Path]:
     emit("positive_ideal_volume", trace.volume_positive, win_ids, win_labels)
     emit("negative_ideal_volume", trace.volume_negative, win_ids, win_labels)
 
-    slugs: dict[str, int] = {}
+    used: set[str] = set()
     for k, name in enumerate(trace.area_names):
-        slug = _slug(name)
-        if slug in slugs:
-            slug = f"{slug}_{k + 1}"
-        slugs[slug] = k
+        slug = base = _slug(name)
+        suffix = k + 1
+        while slug in used:
+            slug = f"{base}_{suffix}"
+            suffix += 1
+        used.add(slug)
         emit(f"{slug}_standardized", trace.standardized[k], ids, labels)
         emit(f"{slug}_weighted", trace.weighted[k], ids, labels)
         emit(f"{slug}_volume_diff_pos", trace.volume_diff_pos[k], win_ids, win_labels)

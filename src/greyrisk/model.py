@@ -123,27 +123,27 @@ class AssessmentInput:
 
 @dataclass(frozen=True)
 class StageMatrices:
-    """Intermediate matrices of one assessment run, kept for trace output.
+    """Intermediate arrays of one assessment run, kept for trace output.
 
-    Per-area lists are aligned with ``area_names``. Standardized and
-    weighted matrices are m x T; volume, difference, and coefficient
-    matrices are (m-1) x (T-1).
+    The leading axis of the per-area arrays is aligned with ``area_names``.
+    Standardized and weighted scores are (n, m, T); difference and
+    coefficient arrays are (n, m-1, T-1). The ideal matrices are m x T and
+    their volumes (m-1) x (T-1).
     """
 
     index_ids: tuple[str, ...]
     period_labels: tuple[str, ...]
     area_names: tuple[str, ...]
-    standardized: tuple[np.ndarray, ...]
-    weighted: tuple[np.ndarray, ...]
+    standardized: np.ndarray
+    weighted: np.ndarray
     positive_ideal: np.ndarray
     negative_ideal: np.ndarray
-    volume: tuple[np.ndarray, ...]
     volume_positive: np.ndarray
     volume_negative: np.ndarray
-    volume_diff_pos: tuple[np.ndarray, ...]
-    volume_diff_neg: tuple[np.ndarray, ...]
-    coeff_pos: tuple[np.ndarray, ...]
-    coeff_neg: tuple[np.ndarray, ...]
+    volume_diff_pos: np.ndarray
+    volume_diff_neg: np.ndarray
+    coeff_pos: np.ndarray
+    coeff_neg: np.ndarray
 
 
 def _check_orientation(d: IndexDefinition, errors: list[str]) -> None:
@@ -162,6 +162,25 @@ def _check_orientation(d: IndexDefinition, errors: list[str]) -> None:
     elif o.interval_low is not None or o.interval_high is not None:
         errors.append(
             f"index '{d.id}': orientation '{o.kind.value}' must carry no interval bounds"
+        )
+
+
+def _check_ranges(
+    indices: tuple[IndexDefinition, ...], values: np.ndarray, errors: list[str]
+) -> None:
+    """Standardization divides by each index's range; it must be a finite float."""
+    lows, highs = values.min(axis=(0, 2)), values.max(axis=(0, 2))
+    for j, d in enumerate(indices):
+        if d.orientation.kind is OrientationKind.INTERVAL:
+            for v in (d.orientation.interval_low, d.orientation.interval_high):
+                if v is not None and math.isfinite(v):
+                    lows[j], highs[j] = min(lows[j], v), max(highs[j], v)
+    with np.errstate(over="ignore"):
+        overflows = ~np.isfinite(highs - lows)
+    for j in np.flatnonzero(overflows):
+        errors.append(
+            f"index '{indices[j].id}': range of values and bounds "
+            f"{lows[j]:.4g} .. {highs[j]:.4g} overflows float64"
         )
 
 
@@ -217,6 +236,7 @@ def validate_input(inp: AssessmentInput) -> AssessmentInput:
         if math.isfinite(theta_sum) and abs(theta_sum - 1.0) > WEIGHT_SUM_TOLERANCE:
             errors.append(f"time weights sum {theta_sum:.2f} outside tolerance")
 
+    usable = []
     for area in inp.areas:
         if area.values.ndim != 2 or area.values.shape != (m, T):
             got = "x".join(str(k) for k in area.values.shape)
@@ -228,6 +248,10 @@ def validate_input(inp: AssessmentInput) -> AssessmentInput:
                 f"area '{area.name}': non-finite value at index "
                 f"'{inp.indices[bad[0]].id}', period '{inp.periods[bad[1]]}'"
             )
+            continue
+        usable.append(area.values)
+    if usable and T > 0:
+        _check_ranges(inp.indices, np.stack(usable), errors)
 
     if errors:
         raise ValidationError(errors)

@@ -1,10 +1,10 @@
-"""Standardization of raw score matrices onto [0, 1].
+"""Standardization of raw score arrays onto [0, 1].
 
 Extrema are taken globally per index, over all areas and all periods, so
 that areas stay comparable. Four orientations are supported:
 
   benefit       b = (a - min) / (max - min)
-  cost          b = (max - a) / (max - min)
+  cost          b = 1 - (a - min) / (max - min)
   intermediate  b = 1 - |a - M(t)| / max_dev, M(t) = cross-area median at t
   interval      b = 1 inside [low, high], linear falloff outside scaled by
                 max{low - min, max - high}
@@ -16,116 +16,44 @@ bias neither ideal matrix; intermediate and interval degenerate to 1.0
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .model import AssessmentInput, OrientationKind
+from .model import IndexDefinition, OrientationKind
 
 
-@dataclass(frozen=True)
-class IndexExtrema:
-    """Global reduction of one index over all areas and periods.
+def standardize_all(values: np.ndarray, indices: Sequence[IndexDefinition]) -> np.ndarray:
+    """Standardize raw scores of shape (n, m, T) and return them.
 
-    ``medians`` (length T) and ``max_abs_dev`` are populated only for
-    intermediate indices.
+    A float64 array is overwritten in place; any other input is converted to
+    a new float64 array first. Index j of ``indices`` describes row j of
+    every area. Each index is standardized over all n areas and T periods
+    at once.
     """
-
-    index_id: str
-    min_val: float
-    max_val: float
-    medians: np.ndarray | None = None
-    max_abs_dev: float | None = None
-
-    @property
-    def span(self) -> float:
-        return self.max_val - self.min_val
-
-
-def compute_extrema(inp: AssessmentInput) -> list[IndexExtrema]:
-    """Per-index min/max over every area and period, plus median statistics
-    for intermediate indices."""
-    stacked = np.stack([a.values for a in inp.areas])  # n x m x T
-    out: list[IndexExtrema] = []
-    for j, d in enumerate(inp.indices):
-        rows = stacked[:, j, :]  # n x T
-        medians = None
-        max_abs_dev = None
-        if d.orientation.kind is OrientationKind.INTERMEDIATE:
-            medians = np.median(rows, axis=0)
-            medians.setflags(write=False)
-            max_abs_dev = float(np.abs(rows - medians[None, :]).max())
-        out.append(
-            IndexExtrema(
-                index_id=d.id,
-                min_val=float(rows.min()),
-                max_val=float(rows.max()),
-                medians=medians,
-                max_abs_dev=max_abs_dev,
-            )
-        )
-    return out
-
-
-def standardize_benefit(a: float, extrema: IndexExtrema) -> float:
-    if extrema.span == 0.0:
-        return 0.5
-    return (a - extrema.min_val) / extrema.span
-
-
-def standardize_cost(a: float, extrema: IndexExtrema) -> float:
-    # computed as the benefit complement so the duality b + c = 1 is exact
-    # in floating point, not just algebraically
-    if extrema.span == 0.0:
-        return 0.5
-    return 1.0 - (a - extrema.min_val) / extrema.span
-
-
-def standardize_intermediate(a: float, t: int, extrema: IndexExtrema) -> float:
-    """t is the 0-based period position into ``extrema.medians``."""
-    if extrema.medians is None or extrema.max_abs_dev is None:
-        raise ValueError(f"index '{extrema.index_id}': extrema lack median statistics")
-    if extrema.max_abs_dev == 0.0:
-        return 1.0
-    return 1.0 - abs(a - float(extrema.medians[t])) / extrema.max_abs_dev
-
-
-def standardize_interval(a: float, extrema: IndexExtrema, low: float, high: float) -> float:
-    if low <= a <= high:
-        return 1.0
-    den = max(low - extrema.min_val, extrema.max_val - high)
-    if den <= 0.0:
-        # only reachable when every observed value lies inside [low, high]
-        return 1.0
-    if a < low:
-        return 1.0 - (low - a) / den
-    return 1.0 - (a - high) / den
-
-
-def standardize_all(
-    inp: AssessmentInput, extrema: list[IndexExtrema] | None = None
-) -> list[np.ndarray]:
-    """Standardized m x T matrix for every area, in input order."""
-    if extrema is None:
-        extrema = compute_extrema(inp)
-    out = []
-    for area in inp.areas:
-        b = np.empty_like(area.values)
-        for j, d in enumerate(inp.indices):
-            ex = extrema[j]
-            kind = d.orientation.kind
-            row = area.values[j]
-            if kind is OrientationKind.BENEFIT:
-                b[j] = 0.5 if ex.span == 0.0 else (row - ex.min_val) / ex.span
-            elif kind is OrientationKind.COST:
-                b[j] = 0.5 if ex.span == 0.0 else 1.0 - (row - ex.min_val) / ex.span
-            elif kind is OrientationKind.INTERMEDIATE:
-                b[j] = [standardize_intermediate(v, t, ex) for t, v in enumerate(row)]
+    values = np.asarray(values, dtype=float)
+    for j, d in enumerate(indices):
+        a = values[:, j, :]  # n x T view
+        lo, hi = a.min(), a.max()
+        span = hi - lo
+        kind = d.orientation.kind
+        if kind is OrientationKind.BENEFIT:
+            a[...] = 0.5 if span == 0.0 else (a - lo) / span
+        elif kind is OrientationKind.COST:
+            # the benefit complement, so the duality b + c = 1 is exact in
+            # floating point, not just algebraically
+            a[...] = 0.5 if span == 0.0 else 1.0 - (a - lo) / span
+        elif kind is OrientationKind.INTERMEDIATE:
+            dev = np.abs(a - np.median(a, axis=0))
+            max_dev = dev.max()
+            a[...] = 1.0 if max_dev == 0.0 else 1.0 - dev / max_dev
+        else:
+            low, high = d.orientation.interval_low, d.orientation.interval_high
+            den = max(low - lo, hi - high)
+            if den <= 0.0:
+                # only reachable when every observed value lies inside [low, high]
+                a[...] = 1.0
             else:
-                b[j] = [
-                    standardize_interval(v, ex, d.orientation.interval_low,
-                                         d.orientation.interval_high)
-                    for v in row
-                ]
-        out.append(b)
-    return out
+                a[...] = np.where(a < low, 1.0 - (low - a) / den,
+                                  np.where(a > high, 1.0 - (a - high) / den, 1.0))
+    return values

@@ -101,37 +101,34 @@ def run_assessment(inp: AssessmentInput, config: RunConfig | None = None) -> Ass
     lam, lam_renormed = _renormalized(lam_raw, config.renormalize_weights)
     theta, theta_renormed = _renormalized(theta_raw, config.renormalize_weights)
 
-    b_mats = standardize_all(inp)
-    c_mats = [apply_weights(b, lam, theta) for b in b_mats]
-    c_pos = positive_ideal(c_mats)
-    c_neg = negative_ideal(c_mats)
+    mode = config.zeroing_mode
+    b = standardize_all(np.stack([a.values for a in inp.areas]), inp.indices)
+    c = apply_weights(b, lam, theta)
+    c_pos, c_neg = positive_ideal(c), negative_ideal(c)
+    vol = local_volume(zeroing_image(c, mode))
+    if not config.emit_trace:
+        del b, c  # only the trace reads them; free them before the incidence stage
 
-    fam_pos = incidence_family(c_pos, c_mats, config.zeroing_mode, "positive-ideal")
-    fam_neg = incidence_family(c_neg, c_mats, config.zeroing_mode, "negative-ideal")
+    vol_pos = local_volume(zeroing_image(c_pos, mode))
+    vol_neg = local_volume(zeroing_image(c_neg, mode))
+    fam_pos = incidence_family(vol_pos, vol)
+    fam_neg = incidence_family(vol_neg, vol)
+    gp, gn = fam_pos.degrees, fam_neg.degrees
 
-    supers = []
-    for area, gp, gn in zip(inp.areas, fam_pos.degrees, fam_neg.degrees):
-        try:
-            supers.append(superiority_degree(gp, gn))
-        except DegenerateAssessmentError as exc:
-            raise DegenerateAssessmentError(
-                f"superiority step: area '{area.name}': {exc}"
-            ) from exc
+    try:
+        s = superiority_degree(gp, gn)
+    except DegenerateAssessmentError as exc:
+        k = np.flatnonzero((gp == 0.0) & (gn == 0.0))[0]
+        raise DegenerateAssessmentError(
+            f"superiority step: area '{inp.areas[k].name}': {exc}"
+        ) from exc
 
-    ranked = rank_areas(zip((a.name for a in inp.areas), supers))
-    by_name = {a.name: (gp, gn) for a, gp, gn in zip(inp.areas, fam_pos.degrees, fam_neg.degrees)}
-    records = tuple(
-        AreaAssessment(
-            name=r.name,
-            gamma_pos=by_name[r.name][0],
-            gamma_neg=by_name[r.name][1],
-            superiority=r.superiority,
-            rank=r.rank,
-            level=classify(r.superiority),
-            tied=r.tied,
-        )
-        for r in ranked
-    )
+    order, rank, tied = rank_areas(s)
+    rows = list(zip(
+        (a.name for a in inp.areas), gp.tolist(), gn.tolist(), s.tolist(), rank.tolist(),
+        map(RiskLevel, classify(s).tolist()), tied.tolist(),
+    ))
+    records = tuple(AreaAssessment(*rows[k]) for k in order.tolist())
 
     echo = {
         "zeroing_mode": config.zeroing_mode.value,
@@ -147,20 +144,16 @@ def run_assessment(inp: AssessmentInput, config: RunConfig | None = None) -> Ass
 
     trace = None
     if config.emit_trace:
-        def zim(c):
-            return zeroing_image(c, config.zeroing_mode)
-
         trace = StageMatrices(
             index_ids=tuple(d.id for d in inp.indices),
             period_labels=inp.periods,
             area_names=tuple(a.name for a in inp.areas),
-            standardized=tuple(b_mats),
-            weighted=tuple(c_mats),
+            standardized=b,
+            weighted=c,
             positive_ideal=c_pos,
             negative_ideal=c_neg,
-            volume=tuple(local_volume(zim(c)) for c in c_mats),
-            volume_positive=local_volume(zim(c_pos)),
-            volume_negative=local_volume(zim(c_neg)),
+            volume_positive=vol_pos,
+            volume_negative=vol_neg,
             volume_diff_pos=fam_pos.volume_diffs,
             volume_diff_neg=fam_neg.volume_diffs,
             coeff_pos=fam_pos.coefficients,

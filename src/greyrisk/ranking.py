@@ -16,9 +16,7 @@ takes the higher grade.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -51,63 +49,48 @@ class RiskLevel(IntEnum):
 RISK_THRESHOLDS: tuple[float, ...] = (0.1, 0.2, 0.4, 0.6, 0.7, 0.8, 0.9)
 
 
-@dataclass(frozen=True)
-class RankedArea:
-    name: str
-    superiority: float
-    rank: int
-    tied: bool
-
-
-def superiority_degree(gamma_pos: float, gamma_neg: float) -> float:
-    if not (0.0 <= gamma_pos <= 1.0 and 0.0 <= gamma_neg <= 1.0):
+def superiority_degree(gamma_pos, gamma_neg) -> np.ndarray:
+    """Closed-form superiority degree of each (gamma_pos, gamma_neg) pair."""
+    gp, gn = np.broadcast_arrays(np.asarray(gamma_pos, dtype=float),
+                                 np.asarray(gamma_neg, dtype=float))
+    inside = (0.0 <= gp) & (gp <= 1.0) & (0.0 <= gn) & (gn <= 1.0)
+    if not inside.all():
+        k = np.flatnonzero(~inside)[0]
         raise ValueError(
-            f"incidence degrees must lie in [0, 1], got ({gamma_pos!r}, {gamma_neg!r})"
+            "incidence degrees must lie in [0, 1], "
+            f"got ({float(gp.flat[k])!r}, {float(gn.flat[k])!r})"
         )
-    if gamma_pos == 0.0 and gamma_neg == 0.0:
+    if ((gp == 0.0) & (gn == 0.0)).any():
         raise DegenerateAssessmentError(
             "both incidence degrees are zero; superiority degree undefined"
         )
-    return gamma_pos**2 / (gamma_pos**2 + gamma_neg**2)
+    return gp**2 / (gp**2 + gn**2)
 
 
-def objective_H(
-    s: Sequence[float], gammas_pos: Sequence[float], gammas_neg: Sequence[float]
-) -> float:
-    """Evaluate the ranking objective; used to verify optimizer minimality."""
-    s = np.asarray(s, dtype=float)
-    gp = np.asarray(gammas_pos, dtype=float)
-    gn = np.asarray(gammas_neg, dtype=float)
-    if not (s.shape == gp.shape == gn.shape):
-        raise ValueError(f"length mismatch: {s.shape}, {gp.shape}, {gn.shape}")
-    return float((((1.0 - s) * gp) ** 2 + (s * gn) ** 2).sum())
+def classify(s) -> np.ndarray:
+    """Risk level number of each superiority degree (see ``RiskLevel``).
 
-
-def classify(s: float) -> RiskLevel:
-    """Map a superiority degree to the smallest grade whose threshold covers it."""
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"superiority degree must lie in [0, 1], got {s!r}")
-    for level, threshold in zip(RiskLevel, RISK_THRESHOLDS):
-        if s <= threshold:
-            return level
-    return RiskLevel.EXTREMELY_HIGH
-
-
-def rank_areas(results: Iterable[tuple[str, float]]) -> list[RankedArea]:
-    """Order areas by descending superiority; rank 1 is the riskiest.
-
-    Ties share the numerically smaller rank value and are flagged; input
-    order is preserved among tied entries.
+    A degree takes the smallest grade whose threshold covers it.
     """
-    entries = [(name, float(s)) for name, s in results]
-    order = sorted(range(len(entries)), key=lambda i: (-entries[i][1], i))
-    counts: dict[float, int] = {}
-    for _, s in entries:
-        counts[s] = counts.get(s, 0) + 1
-    ranked = []
-    for i in order:
-        name, s = entries[i]
-        greater = sum(1 for _, v in entries if v > s)
-        ranked.append(RankedArea(name=name, superiority=s, rank=greater + 1,
-                                 tied=counts[s] > 1))
-    return ranked
+    s = np.asarray(s, dtype=float)
+    inside = (0.0 <= s) & (s <= 1.0)
+    if not inside.all():
+        raise ValueError(f"superiority degree must lie in [0, 1], got {float(s[~inside][0])!r}")
+    grade = np.searchsorted(RISK_THRESHOLDS, s, side="left") + 1
+    return np.minimum(grade, RiskLevel.EXTREMELY_HIGH)
+
+
+def rank_areas(s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rank areas by descending superiority degree; rank 1 is the riskiest.
+
+    Returns ``(order, rank, tied)``: ``order`` lists area positions in rank
+    order, keeping input order among equal degrees; ``rank[k]`` is 1 + the
+    number of areas with a strictly larger degree than area k, so ties share
+    the smaller rank; ``tied[k]`` flags a degree that another area shares.
+    """
+    s = np.asarray(s, dtype=float)
+    order = np.argsort(-s, kind="stable")
+    ascending = s[order[::-1]]
+    above = np.searchsorted(ascending, s, side="right")
+    below = np.searchsorted(ascending, s, side="left")
+    return order, s.size - above + 1, above - below > 1

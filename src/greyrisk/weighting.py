@@ -1,4 +1,4 @@
-"""Weighted matrices and the positive/negative ideal matrices.
+"""Weighted scores and the positive/negative ideal matrices.
 
 The weighted matrix scales each standardized cell by its index weight and
 time weight: C[j, t] = lambda_j * B[j, t] * theta_t. The positive (negative)
@@ -8,41 +8,29 @@ matrices; it is the hypothetical riskiest (safest) profile.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 
 def apply_weights(
     b: np.ndarray, index_weights: np.ndarray, time_weights: np.ndarray
 ) -> np.ndarray:
+    """Weight standardized scores whose last two axes are (m, T), e.g. (n, m, T)."""
     b = np.asarray(b, dtype=float)
     lam = np.asarray(index_weights, dtype=float)
     theta = np.asarray(time_weights, dtype=float)
-    if b.ndim != 2 or b.shape != (lam.size, theta.size):
+    if b.ndim < 2 or b.shape[-2:] != (lam.size, theta.size):
         raise ValueError(
-            f"dimension mismatch: matrix {b.shape} vs {lam.size} index weights "
+            f"dimension mismatch: scores {b.shape} vs {lam.size} index weights "
             f"and {theta.size} time weights"
         )
-    return lam[:, None] * b * theta[None, :]
+    return lam[:, None] * b * theta
 
 
-def _check_family(cs: Sequence[np.ndarray]) -> list[np.ndarray]:
-    if len(cs) == 0:
-        raise ValueError("at least one weighted matrix required")
-    mats = [np.asarray(c, dtype=float) for c in cs]
-    shape = mats[0].shape
-    for k, c in enumerate(mats):
-        if c.shape != shape:
-            raise ValueError(f"shape mismatch: matrix 0 is {shape}, matrix {k} is {c.shape}")
-    return mats
+def positive_ideal(c: np.ndarray) -> np.ndarray:
+    """Elementwise maximum over the leading area axis of (n, m, T) weighted scores."""
+    return np.max(c, axis=0)
 
 
-def positive_ideal(cs: Sequence[np.ndarray]) -> np.ndarray:
-    """Elementwise maximum over all areas' weighted matrices."""
-    return np.maximum.reduce(_check_family(cs))
-
-
-def negative_ideal(cs: Sequence[np.ndarray]) -> np.ndarray:
-    """Elementwise minimum over all areas' weighted matrices."""
-    return np.minimum.reduce(_check_family(cs))
+def negative_ideal(c: np.ndarray) -> np.ndarray:
+    """Elementwise minimum over the leading area axis of (n, m, T) weighted scores."""
+    return np.min(c, axis=0)

@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
 
-from greyrisk import (
-    AreaSeries,
-    AssessmentInput,
-    IndexDefinition,
-    Orientation,
-    load_bundled_case,
-)
+from greyrisk import AreaSeries, AssessmentInput, IndexDefinition, Orientation, standardize_all
+from greyrisk.pipeline import load_bundled_case
 
 
 def make_input(matrices, index_weights=None, time_weights=None, orientations=None,
@@ -38,6 +33,11 @@ def make_input(matrices, index_weights=None, time_weights=None, orientations=Non
         time_weights=np.asarray(time_weights, dtype=float),
         areas=tuple(AreaSeries(name=n, values=v) for n, v in zip(names, mats)),
     )
+
+
+def standardized(inp):
+    """Standardized (n, m, T) scores of an input's areas."""
+    return standardize_all(np.stack([a.values for a in inp.areas]), inp.indices)
 
 
 # Three tiny areas where area1 sits strictly farthest from both ideal

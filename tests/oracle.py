@@ -1,0 +1,204 @@
+"""Per-area reference implementation of the assessment, used as a test oracle.
+
+Every formula is written here in its scalar or per-area form: one m x T
+matrix per area, the scalar standardizers applied cell by cell, incidence
+computed factor by factor, the objective H evaluated directly, and ranks
+counted in O(n^2). The library computes the same quantities on one
+(n, m, T) array; tests compare the two.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+
+from greyrisk import ZeroingMode
+from greyrisk.model import AssessmentInput, OrientationKind
+from greyrisk.ranking import RISK_THRESHOLDS, DegenerateAssessmentError, RiskLevel
+
+
+@dataclass(frozen=True)
+class IndexExtrema:
+    """Global reduction of one index over all areas and periods.
+
+    ``medians`` (length T) and ``max_abs_dev`` are populated only for
+    intermediate indices.
+    """
+
+    index_id: str
+    min_val: float
+    max_val: float
+    medians: np.ndarray | None = None
+    max_abs_dev: float | None = None
+
+    @property
+    def span(self) -> float:
+        return self.max_val - self.min_val
+
+
+def compute_extrema(inp: AssessmentInput) -> list[IndexExtrema]:
+    """Per-index min/max over every area and period, plus median statistics
+    for intermediate indices."""
+    stacked = np.stack([a.values for a in inp.areas])  # n x m x T
+    out: list[IndexExtrema] = []
+    for j, d in enumerate(inp.indices):
+        rows = stacked[:, j, :]  # n x T
+        medians = None
+        max_abs_dev = None
+        if d.orientation.kind is OrientationKind.INTERMEDIATE:
+            medians = np.median(rows, axis=0)
+            max_abs_dev = float(np.abs(rows - medians[None, :]).max())
+        out.append(IndexExtrema(d.id, float(rows.min()), float(rows.max()),
+                                medians, max_abs_dev))
+    return out
+
+
+def standardize_benefit(a: float, extrema: IndexExtrema) -> float:
+    if extrema.span == 0.0:
+        return 0.5
+    return (a - extrema.min_val) / extrema.span
+
+
+def standardize_cost(a: float, extrema: IndexExtrema) -> float:
+    if extrema.span == 0.0:
+        return 0.5
+    return 1.0 - (a - extrema.min_val) / extrema.span
+
+
+def standardize_intermediate(a: float, t: int, extrema: IndexExtrema) -> float:
+    """t is the 0-based period position into ``extrema.medians``."""
+    if extrema.medians is None or extrema.max_abs_dev is None:
+        raise ValueError(f"index '{extrema.index_id}': extrema lack median statistics")
+    if extrema.max_abs_dev == 0.0:
+        return 1.0
+    return 1.0 - abs(a - float(extrema.medians[t])) / extrema.max_abs_dev
+
+
+def standardize_interval(a: float, extrema: IndexExtrema, low: float, high: float) -> float:
+    if low <= a <= high:
+        return 1.0
+    den = max(low - extrema.min_val, extrema.max_val - high)
+    if den <= 0.0:
+        return 1.0
+    if a < low:
+        return 1.0 - (low - a) / den
+    return 1.0 - (a - high) / den
+
+
+def standardize_all(inp: AssessmentInput) -> list[np.ndarray]:
+    """Standardized m x T matrix of every area, cell by cell."""
+    extrema = compute_extrema(inp)
+    out = []
+    for area in inp.areas:
+        b = np.empty_like(area.values)
+        for j, d in enumerate(inp.indices):
+            ex, o = extrema[j], d.orientation
+            for t, v in enumerate(area.values[j]):
+                v = float(v)
+                if o.kind is OrientationKind.BENEFIT:
+                    b[j, t] = standardize_benefit(v, ex)
+                elif o.kind is OrientationKind.COST:
+                    b[j, t] = standardize_cost(v, ex)
+                elif o.kind is OrientationKind.INTERMEDIATE:
+                    b[j, t] = standardize_intermediate(v, t, ex)
+                else:
+                    b[j, t] = standardize_interval(v, ex, o.interval_low, o.interval_high)
+        out.append(b)
+    return out
+
+
+def zeroing_image(c: np.ndarray, mode: ZeroingMode) -> np.ndarray:
+    if mode is ZeroingMode.FIRST_COLUMN:
+        return c - c[:, :1]
+    if mode is ZeroingMode.FIRST_ELEMENT:
+        return c - c[0, 0]
+    return c.copy()
+
+
+def local_volume(z: np.ndarray) -> np.ndarray:
+    return (z[:-1, :-1] + z[1:, 1:]) / 6.0 + (z[1:, :-1] + z[:-1, 1:]) / 3.0
+
+
+@dataclass(frozen=True)
+class FamilyResult:
+    volume_diffs: tuple[np.ndarray, ...]
+    d_max: float
+    d_min: float
+    coefficients: tuple[np.ndarray, ...]
+    degrees: tuple[float, ...]
+
+
+def incidence_family(reference: np.ndarray, factors: Sequence[np.ndarray],
+                     mode: ZeroingMode = ZeroingMode.FIRST_COLUMN) -> FamilyResult:
+    """Incidence of each factor matrix against the reference, factor by factor."""
+    d0 = local_volume(zeroing_image(np.asarray(reference, dtype=float), mode))
+    diffs = tuple(
+        np.abs(d0 - local_volume(zeroing_image(np.asarray(f, dtype=float), mode)))
+        for f in factors
+    )
+    d_max = float(max(d.max() for d in diffs))
+    d_min = float(min(d.min() for d in diffs))
+    if d_max == d_min:
+        coeffs = tuple(np.ones_like(d) for d in diffs)
+    else:
+        coeffs = tuple((d_max - d) / (d_max - d_min) for d in diffs)
+    return FamilyResult(diffs, d_max, d_min, coeffs, tuple(float(g.mean()) for g in coeffs))
+
+
+def superiority_degree(gamma_pos: float, gamma_neg: float) -> float:
+    if not (0.0 <= gamma_pos <= 1.0 and 0.0 <= gamma_neg <= 1.0):
+        raise ValueError(f"incidence degrees must lie in [0, 1], got ({gamma_pos}, {gamma_neg})")
+    if gamma_pos == 0.0 and gamma_neg == 0.0:
+        raise DegenerateAssessmentError("both incidence degrees are zero")
+    return gamma_pos**2 / (gamma_pos**2 + gamma_neg**2)
+
+
+def objective_H(s: Sequence[float], gammas_pos: Sequence[float],
+                gammas_neg: Sequence[float]) -> float:
+    """The ranking objective H, evaluated directly to check the closed form's minimality."""
+    s = np.asarray(s, dtype=float)
+    gp = np.asarray(gammas_pos, dtype=float)
+    gn = np.asarray(gammas_neg, dtype=float)
+    if not (s.shape == gp.shape == gn.shape):
+        raise ValueError(f"length mismatch: {s.shape}, {gp.shape}, {gn.shape}")
+    return float((((1.0 - s) * gp) ** 2 + (s * gn) ** 2).sum())
+
+
+def classify(s: float) -> RiskLevel:
+    if not 0.0 <= s <= 1.0:
+        raise ValueError(f"superiority degree must lie in [0, 1], got {s!r}")
+    for level, threshold in zip(RiskLevel, RISK_THRESHOLDS):
+        if s <= threshold:
+            return level
+    return RiskLevel.EXTREMELY_HIGH
+
+
+def rank_areas(results: Sequence[tuple[str, float]]) -> list[tuple[str, float, int, bool]]:
+    """(name, s, rank, tied) in rank order, counting larger degrees pairwise."""
+    entries = [(name, float(s)) for name, s in results]
+    order = sorted(range(len(entries)), key=lambda i: (-entries[i][1], i))
+    ranked = []
+    for i in order:
+        name, s = entries[i]
+        greater = sum(1 for _, v in entries if v > s)
+        equal = sum(1 for _, v in entries if v == s)
+        ranked.append((name, s, greater + 1, equal > 1))
+    return ranked
+
+
+def assess(inp: AssessmentInput, mode: ZeroingMode = ZeroingMode.FIRST_COLUMN) -> list[dict]:
+    """Report rows of the whole assessment, in rank order, with renormalized weights."""
+    lam = inp.index_weights / inp.index_weights.sum()
+    theta = inp.time_weights / inp.time_weights.sum()
+    cs = [lam[:, None] * b * theta[None, :] for b in standardize_all(inp)]
+    fam_pos = incidence_family(np.maximum.reduce(cs), cs, mode)
+    fam_neg = incidence_family(np.minimum.reduce(cs), cs, mode)
+    gammas = {a.name: (gp, gn) for a, gp, gn in zip(inp.areas, fam_pos.degrees, fam_neg.degrees)}
+    ranked = rank_areas([(name, superiority_degree(gp, gn)) for name, (gp, gn) in gammas.items()])
+    return [
+        {"name": name, "gamma_pos": gammas[name][0], "gamma_neg": gammas[name][1],
+         "superiority": s, "rank": rank, "level": classify(s), "tied": tied}
+        for name, s, rank, tied in ranked
+    ]

@@ -4,8 +4,9 @@ import sys
 
 import pytest
 
-from greyrisk import input_to_json, load_bundled_case
 from greyrisk.cli import main
+from greyrisk.io import input_to_json
+from greyrisk.pipeline import load_bundled_case
 
 from conftest import DEGENERATE_MATRICES, make_input
 
@@ -85,6 +86,27 @@ def test_validate_reports_all_violations(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "validation failed" in err
     assert "weight" in err and "non-finite" in err
+
+
+def _overflow_values(doc):
+    doc["areas"][0]["values"][3][0] = 1e308
+    doc["areas"][1]["values"][3][2] = -1e308
+
+
+def _overflow_bounds(doc):
+    doc["indices"][3]["orientation"] = {"interval": [1e308, 1e308]}
+    doc["areas"][2]["values"][3][5] = -1e308
+
+
+@pytest.mark.parametrize("edit", [_overflow_values, _overflow_bounds])
+def test_overflowing_index_range_is_validation_failure(tmp_path, capsys, edit):
+    doc = json.loads(input_to_json(load_bundled_case()))
+    edit(doc)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["assess", "--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "index 'agri_fire_spread'" in err and "overflows float64" in err
 
 
 def test_parse_failure_exits_2(tmp_path, capsys):

@@ -1,24 +1,23 @@
 import csv
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
-from greyrisk import (
-    InputFormatError,
-    RunConfig,
-    ValidationError,
+from greyrisk import InputFormatError, RunConfig, ValidationError, load_input, run_assessment
+from greyrisk.io import (
     compute_fingerprint,
     emit_report,
     input_from_dict,
     input_to_dict,
     input_to_json,
-    load_input,
-    run_assessment,
+    render_csv,
+    render_text,
+    report_to_dict,
     write_trace,
 )
-from greyrisk.io import render_csv, render_text, report_to_dict
 
 
 @pytest.fixture
@@ -71,6 +70,26 @@ class TestLoadJson:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(case_dict))
         with pytest.raises(InputFormatError, match=r"indices\[3\].*weight"):
+            load_input(path)
+
+    @pytest.mark.parametrize("edit, locus", [
+        (lambda doc: doc["indices"][2].update(weight=None), r"indices\[2\]: weight"),
+        (lambda doc: doc["indices"][2].update(weight="heavy"), r"indices\[2\]: weight"),
+        (lambda doc: doc["periods"][1].update(weight=[0.5]), r"periods\[1\]: weight"),
+        (lambda doc: doc["indices"][0].update(orientation={"interval": [None, 5]}),
+         r"indices\[0\]: interval low"),
+        (lambda doc: doc["indices"][0].update(orientation={"interval": [1, "x"]}),
+         r"indices\[0\]: interval high"),
+        (lambda doc: doc["indices"].__setitem__(1, 7), r"indices\[1\]: expected an object"),
+        (lambda doc: doc["periods"].__setitem__(0, "t1"), r"periods\[0\]: expected an object"),
+        (lambda doc: doc["areas"].__setitem__(2, [[1.0]]), r"areas\[2\]: expected an object"),
+    ], ids=["null-weight", "text-weight", "list-period-weight", "null-interval-low",
+            "text-interval-high", "number-index", "string-period", "list-area"])
+    def test_malformed_entry_located(self, tmp_path, case_dict, edit, locus):
+        edit(case_dict)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(case_dict))
+        with pytest.raises(InputFormatError, match=locus):
             load_input(path)
 
     def test_malformed_json_reports_position(self, tmp_path):
@@ -226,6 +245,14 @@ class TestTrace:
                      "coeff_pos", "coeff_neg"):
             for area in ("area1", "area2", "area3"):
                 assert f"{area}_{kind}.csv" in names
+
+    def test_colliding_slugs_get_unused_suffixes(self, bundled_input, tmp_path):
+        renamed = dataclasses.replace(bundled_input, areas=tuple(
+            dataclasses.replace(a, name=name)
+            for a, name in zip(bundled_input.areas, ("x", "x_3", "X"))))
+        report = run_assessment(renamed, RunConfig(emit_trace=True))
+        written = write_trace(report.result.trace, tmp_path)
+        assert len(set(written)) == len(list(tmp_path.glob("*.csv"))) == 22
 
     def test_trace_values_round_trip(self, bundled_input, tmp_path):
         report = run_assessment(bundled_input, RunConfig(emit_trace=True))

@@ -6,11 +6,10 @@ from greyrisk import (
     AssessmentInput,
     IndexDefinition,
     Orientation,
-    OrientationKind,
     ValidationError,
     default_wui_schema,
-    validate_input,
 )
+from greyrisk.model import OrientationKind, validate_input
 
 from conftest import make_input
 

@@ -3,32 +3,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greyrisk import (
-    IndexExtrema,
-    Orientation,
-    compute_extrema,
-    standardize_all,
-    standardize_benefit,
-    standardize_cost,
-    standardize_intermediate,
-    standardize_interval,
-)
+from greyrisk import IndexDefinition, Orientation, standardize_all
 
-from conftest import make_input
+import oracle
+from conftest import make_input, standardized
+
+
+def std(rows, orientation=Orientation.benefit()):
+    """Standardize a single index given as per-area rows (n x T)."""
+    x = np.array(rows, dtype=float)[:, None, :]
+    return standardize_all(x, [IndexDefinition("x", "x", orientation, 1.0)])[:, 0, :]
 
 
 class TestComputeExtrema:
+    """The oracle's global extrema, which its scalar standardizers rely on."""
+
     def test_case_dataset_fuel_load(self, bundled_input):
-        ex = compute_extrema(bundled_input)[0]
+        ex = oracle.compute_extrema(bundled_input)[0]
         assert (ex.min_val, ex.max_val) == (20.0, 50.0)
 
     def test_case_dataset_slope_aspect(self, bundled_input):
-        ex = compute_extrema(bundled_input)[12]
+        ex = oracle.compute_extrema(bundled_input)[12]
         assert (ex.min_val, ex.max_val) == (65.0, 75.0)
 
     def test_toy_min_max(self):
         inp = make_input([[[1.0, 2.0]], [[3.0, 0.0]]], index_weights=[1.0])
-        ex = compute_extrema(inp)[0]
+        ex = oracle.compute_extrema(inp)[0]
         assert (ex.min_val, ex.max_val) == (0.0, 3.0)
 
     def test_intermediate_statistics(self):
@@ -37,97 +37,108 @@ class TestComputeExtrema:
             index_weights=[1.0],
             orientations=[Orientation.intermediate()],
         )
-        ex = compute_extrema(inp)[0]
+        ex = oracle.compute_extrema(inp)[0]
         np.testing.assert_array_equal(ex.medians, [2.0, 2.0])
         assert ex.max_abs_dev == 3.0
 
     def test_benefit_index_has_no_median_statistics(self, bundled_input):
-        ex = compute_extrema(bundled_input)[0]
+        ex = oracle.compute_extrema(bundled_input)[0]
         assert ex.medians is None and ex.max_abs_dev is None
 
 
-EX_20_50 = IndexExtrema("x", 20.0, 50.0)
+ROW_20_50 = [[20.0, 30.0, 40.0, 50.0]]
 
 
 class TestBenefit:
     def test_at_minimum(self):
-        assert standardize_benefit(20.0, EX_20_50) == 0.0
+        assert std(ROW_20_50)[0, 0] == 0.0
 
     def test_interior(self):
-        assert standardize_benefit(40.0, EX_20_50) == pytest.approx(0.6667, abs=5e-5)
+        assert std(ROW_20_50)[0, 2] == pytest.approx(0.6667, abs=5e-5)
 
     def test_degenerate_constant_index(self):
-        assert standardize_benefit(7.0, IndexExtrema("x", 7.0, 7.0)) == 0.5
+        np.testing.assert_array_equal(std([[7.0, 7.0], [7.0, 7.0]]), 0.5)
 
 
 class TestCost:
     def test_at_maximum(self):
-        assert standardize_cost(50.0, EX_20_50) == 0.0
+        assert std(ROW_20_50, Orientation.cost())[0, 3] == 0.0
 
     def test_at_minimum(self):
-        assert standardize_cost(20.0, EX_20_50) == 1.0
+        assert std(ROW_20_50, Orientation.cost())[0, 0] == 1.0
 
     def test_duality_oracle(self):
-        assert standardize_cost(30.0, EX_20_50) == 1.0 - standardize_benefit(30.0, EX_20_50)
-        assert standardize_cost(30.0, EX_20_50) == pytest.approx(0.6667, abs=5e-5)
+        cost = std(ROW_20_50, Orientation.cost())[0, 1]
+        assert cost == 1.0 - std(ROW_20_50)[0, 1]
+        assert cost == oracle.standardize_cost(30.0, oracle.IndexExtrema("x", 20.0, 50.0))
+        assert cost == pytest.approx(0.6667, abs=5e-5)
 
     def test_degenerate_constant_index(self):
-        assert standardize_cost(7.0, IndexExtrema("x", 7.0, 7.0)) == 0.5
+        np.testing.assert_array_equal(std([[7.0, 7.0], [7.0, 7.0]], Orientation.cost()), 0.5)
 
 
 class TestIntermediate:
-    EX = IndexExtrema("x", 1.0, 5.0, medians=np.array([2.0]), max_abs_dev=3.0)
+    # one period; the cross-area median is 2 and the largest deviation 3
+    def b(self):
+        return std([[1.0], [2.0], [5.0]], Orientation.intermediate())[:, 0]
 
     def test_at_median(self):
-        assert standardize_intermediate(2.0, 0, self.EX) == 1.0
+        assert self.b()[1] == 1.0
 
     def test_farthest(self):
-        assert standardize_intermediate(5.0, 0, self.EX) == 0.0
+        assert self.b()[2] == 0.0
 
     def test_interior(self):
-        assert standardize_intermediate(1.0, 0, self.EX) == pytest.approx(2.0 / 3.0)
+        assert self.b()[0] == pytest.approx(2.0 / 3.0)
 
     def test_zero_deviation_degenerates_to_one(self):
-        ex = IndexExtrema("x", 2.0, 2.0, medians=np.array([2.0]), max_abs_dev=0.0)
-        assert standardize_intermediate(2.0, 0, ex) == 1.0
+        np.testing.assert_array_equal(std([[2.0], [2.0]], Orientation.intermediate()), 1.0)
 
     def test_missing_statistics_rejected(self):
+        # the oracle refuses to guess median statistics it was not given
         with pytest.raises(ValueError):
-            standardize_intermediate(2.0, 0, EX_20_50)
+            oracle.standardize_intermediate(2.0, 0, oracle.IndexExtrema("x", 20.0, 50.0))
 
 
 class TestInterval:
-    EX = IndexExtrema("x", 0.0, 30.0)
+    # observed range [0, 30] around the interval [10, 20]
+    def b(self):
+        return std([[0.0, 15.0, 5.0, 25.0, 30.0]], Orientation.interval(10.0, 20.0))[0]
 
     def test_inside(self):
-        assert standardize_interval(15.0, self.EX, 10.0, 20.0) == 1.0
+        assert self.b()[1] == 1.0
 
     def test_below(self):
-        assert standardize_interval(5.0, self.EX, 10.0, 20.0) == 0.5
+        assert self.b()[2] == 0.5
 
     def test_above(self):
-        assert standardize_interval(25.0, self.EX, 10.0, 20.0) == 0.5
+        assert self.b()[3] == 0.5
 
     def test_all_data_inside_degenerates_to_one(self):
-        ex = IndexExtrema("x", 12.0, 18.0)
-        assert standardize_interval(12.0, ex, 10.0, 20.0) == 1.0
+        np.testing.assert_array_equal(
+            std([[12.0, 18.0]], Orientation.interval(10.0, 20.0)), 1.0)
 
 
 class TestStandardizeAll:
     def test_case_dataset_constant_rows(self, bundled_input):
-        b1, b2, b3 = standardize_all(bundled_input)
+        b1, b2, b3 = standardized(bundled_input)
         np.testing.assert_array_equal(b1[12], np.zeros(6))  # slope aspect: 65 = min
         np.testing.assert_array_equal(b2[12], np.ones(6))   # 75 = max
         np.testing.assert_array_equal(b3[14], np.zeros(6))  # elevation: 50 = min
 
     def test_case_dataset_first_cells(self, bundled_input):
-        b1, _, b3 = standardize_all(bundled_input)
+        b1, _, b3 = standardized(bundled_input)
         assert b1[0, 0] == 0.0
         assert b3[0, 0] == pytest.approx(2.0 / 3.0)
 
     def test_shapes_match_input(self, bundled_input):
-        for b in standardize_all(bundled_input):
-            assert b.shape == (15, 6)
+        assert standardized(bundled_input).shape == (3, 15, 6)
+
+    def test_integer_scores_are_converted_not_truncated(self):
+        x = np.array([[[1, 3]], [[2, 5]]])
+        b = standardize_all(x, [IndexDefinition("x", "x", Orientation.benefit(), 1.0)])
+        np.testing.assert_array_equal(b, [[[0.0, 0.5]], [[0.25, 1.0]]])
+        np.testing.assert_array_equal(x, [[[1, 3]], [[2, 5]]])
 
     def test_mixed_orientations_in_range(self):
         inp = make_input(
@@ -136,8 +147,8 @@ class TestStandardizeAll:
             orientations=[Orientation.benefit(), Orientation.cost(),
                           Orientation.intermediate(), Orientation.interval(2.0, 5.0)],
         )
-        for b in standardize_all(inp):
-            assert ((b >= 0.0) & (b <= 1.0)).all()
+        b = standardized(inp)
+        assert ((b >= 0.0) & (b <= 1.0)).all()
 
 
 # --- property tests -------------------------------------------------------
@@ -149,30 +160,33 @@ finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 def value_with_extrema(draw):
     lo, hi = sorted((draw(finite), draw(finite)))
     a = draw(st.floats(min_value=lo, max_value=hi, allow_nan=False))
-    return a, IndexExtrema("x", lo, hi)
+    return a, lo, hi
 
 
 @given(value_with_extrema())
-def test_benefit_and_cost_stay_in_range(pair):
-    a, ex = pair
-    for f in (standardize_benefit, standardize_cost):
-        assert 0.0 <= f(a, ex) <= 1.0
+def test_benefit_and_cost_stay_in_range(case):
+    a, lo, hi = case
+    for orientation in (Orientation.benefit(), Orientation.cost()):
+        b = std([[lo, a, hi]], orientation)
+        assert ((0.0 <= b) & (b <= 1.0)).all()
 
 
 @given(value_with_extrema())
-def test_duality_is_exact(pair):
-    a, ex = pair
-    assert standardize_cost(a, ex) == 1.0 - standardize_benefit(a, ex)
+def test_duality_is_exact(case):
+    a, lo, hi = case
+    row = [[lo, a, hi]]
+    np.testing.assert_array_equal(std(row, Orientation.cost()), 1.0 - std(row))
 
 
 @given(value_with_extrema(), value_with_extrema())
 def test_benefit_monotone(p1, p2):
-    a1, ex = p1
-    a2, _ = p2
-    a2 = min(max(a2, ex.min_val), ex.max_val)
-    lo, hi = sorted((a1, a2))
-    assert standardize_benefit(lo, ex) <= standardize_benefit(hi, ex)
-    assert standardize_cost(lo, ex) >= standardize_cost(hi, ex)
+    a1, lo, hi = p1
+    a2 = min(max(p2[0], lo), hi)
+    lower, upper = sorted((a1, a2))
+    row = [[lo, lower, upper, hi]]
+    b, c = std(row)[0], std(row, Orientation.cost())[0]
+    assert b[1] <= b[2]
+    assert c[1] >= c[2]
 
 
 @given(
@@ -182,17 +196,17 @@ def test_benefit_monotone(p1, p2):
 )
 def test_interval_peak_and_falloff(low, width, offset):
     high = low + width
-    ex = IndexExtrema("x", low - 100.0, high + 100.0)
+    lo, hi = low - 100.0, high + 100.0
     inside = low + width / 2
-    assert standardize_interval(inside, ex, low, high) == 1.0
-    below = max(low - offset, ex.min_val)
-    above = min(high + offset, ex.max_val)
-    assert (standardize_interval(below, ex, low, high)
-            >= standardize_interval(ex.min_val, ex, low, high))
-    assert (standardize_interval(above, ex, low, high)
-            >= standardize_interval(ex.max_val, ex, low, high))
-    assert 0.0 <= standardize_interval(below, ex, low, high) <= 1.0
-    assert 0.0 <= standardize_interval(above, ex, low, high) <= 1.0
+    below = max(low - offset, lo)
+    above = min(high + offset, hi)
+    b = std([[lo, inside, below, above, hi]], Orientation.interval(low, high))[0]
+    at_lo, at_inside, at_below, at_above, at_hi = b
+    assert at_inside == 1.0
+    assert at_below >= at_lo
+    assert at_above >= at_hi
+    assert 0.0 <= at_below <= 1.0
+    assert 0.0 <= at_above <= 1.0
 
 
 matrix_strategy = st.integers(min_value=2, max_value=5).flatmap(
@@ -213,9 +227,8 @@ def test_all_orientations_standardize_into_unit_range(mats):
     m = len(mats[0])
     kinds = [Orientation.benefit(), Orientation.cost(), Orientation.intermediate(),
              Orientation.interval(-10.0, 10.0)]
-    inp = make_input(mats, orientations=[kinds[j % 4] for j in range(m)])
-    for b in standardize_all(inp):
-        assert ((b >= 0.0) & (b <= 1.0)).all()
+    b = standardized(make_input(mats, orientations=[kinds[j % 4] for j in range(m)]))
+    assert ((b >= 0.0) & (b <= 1.0)).all()
 
 
 @given(matrix_strategy, st.sampled_from([Orientation.benefit(), Orientation.cost()]))
@@ -223,7 +236,7 @@ def test_all_orientations_standardize_into_unit_range(mats):
 def test_extremum_attainment(mats, orientation):
     m = len(mats[0])
     inp = make_input(mats, orientations=[orientation] * m)
-    bs = np.stack(standardize_all(inp))  # n x m x T
+    bs = standardized(inp)  # n x m x T
     for j in range(bs.shape[1]):
         rows = bs[:, j, :]
         vals = np.stack([a.values[j] for a in inp.areas])
@@ -256,5 +269,4 @@ int_matrix_strategy = st.integers(min_value=2, max_value=5).flatmap(
 def test_benefit_affine_covariance(mats, alpha, beta):
     inp = make_input(mats)
     shifted = make_input([alpha * np.asarray(v, dtype=float) + beta for v in mats])
-    for b_orig, b_shift in zip(standardize_all(inp), standardize_all(shifted)):
-        np.testing.assert_allclose(b_shift, b_orig, atol=1e-9)
+    np.testing.assert_allclose(standardized(shifted), standardized(inp), atol=1e-9)

@@ -2,19 +2,22 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greyrisk import (
     AssessmentInput,
     DegenerateAssessmentError,
+    Orientation,
     RiskLevel,
     RunConfig,
     ZeroingMode,
-    demo,
-    load_bundled_case,
     run_assessment,
 )
 from greyrisk.io import report_to_dict
+from greyrisk.pipeline import demo, load_bundled_case
 
+import oracle
 from conftest import make_input
 
 # frozen full-precision results for the bundled case under the default
@@ -65,15 +68,13 @@ class TestRunAssessment:
         report = run_assessment(bundled_input, RunConfig(emit_trace=True))
         trace = report.result.trace
         assert trace is not None
-        assert len(trace.standardized) == 3
-        for b, c in zip(trace.standardized, trace.weighted):
-            assert b.shape == (15, 6) and c.shape == (15, 6)
-        assert trace.positive_ideal.shape == (15, 6)
-        assert trace.volume_positive.shape == (14, 5)
-        for mats in (trace.volume, trace.volume_diff_pos, trace.volume_diff_neg,
-                     trace.coeff_pos, trace.coeff_neg):
-            assert all(m.shape == (14, 5) for m in mats)
-        assert ((np.stack(trace.coeff_pos) >= 0) & (np.stack(trace.coeff_pos) <= 1)).all()
+        assert trace.standardized.shape == trace.weighted.shape == (3, 15, 6)
+        assert trace.positive_ideal.shape == trace.negative_ideal.shape == (15, 6)
+        assert trace.volume_positive.shape == trace.volume_negative.shape == (14, 5)
+        for stage in (trace.volume_diff_pos, trace.volume_diff_neg,
+                      trace.coeff_pos, trace.coeff_neg):
+            assert stage.shape == (3, 14, 5)
+        assert ((trace.coeff_pos >= 0) & (trace.coeff_pos <= 1)).all()
 
     def test_trace_ideal_dominance(self, bundled_input):
         trace = run_assessment(bundled_input, RunConfig(emit_trace=True)).result.trace
@@ -192,3 +193,62 @@ def test_fingerprint_tracks_dataset_not_config(bundled_input):
     assert a.fingerprint == b.fingerprint
     other = run_assessment(load_bundled_case())
     assert other.fingerprint == a.fingerprint
+
+
+# --- agreement with the per-area oracle ------------------------------------
+
+KINDS = (Orientation.benefit(), Orientation.cost(), Orientation.intermediate())
+
+
+@st.composite
+def assessment_inputs(draw):
+    """Valid inputs over every orientation, with exact duplicate areas."""
+    m = draw(st.integers(2, 5))
+    T = draw(st.integers(2, 5))
+    cell = st.integers(-50, 50).map(float) | st.floats(-50, 50, allow_subnormal=False)
+    grid = st.lists(st.lists(cell, min_size=T, max_size=T), min_size=m, max_size=m)
+    mats = draw(st.lists(grid, min_size=2, max_size=5))
+    for source in draw(st.lists(st.integers(0, len(mats) - 1), max_size=3)):
+        mats.append(mats[source])
+    orientations = []
+    for _ in range(m):
+        low = draw(st.integers(-30, 30))
+        interval = Orientation.interval(low, low + draw(st.integers(0, 20)))
+        orientations.append(draw(st.sampled_from(KINDS + (interval,))))
+    return make_input(mats, orientations=orientations, names=[f"a{k}" for k in range(len(mats))])
+
+
+@given(assessment_inputs(), st.sampled_from(list(ZeroingMode)))
+@settings(max_examples=150, deadline=None)
+def test_matches_per_area_oracle(inp, mode):
+    try:
+        expected = oracle.assess(inp, mode)
+    except DegenerateAssessmentError:
+        with pytest.raises(DegenerateAssessmentError):
+            run_assessment(inp, RunConfig(zeroing_mode=mode))
+        return
+    got = run_assessment(inp, RunConfig(zeroing_mode=mode)).result.areas
+    assert [a.name for a in got] == [row["name"] for row in expected]
+    for a, row in zip(got, expected):
+        for key in ("gamma_pos", "gamma_neg", "superiority"):
+            assert getattr(a, key) == pytest.approx(row[key], abs=1e-12)
+        assert (a.rank, a.tied, a.level) == (row["rank"], row["tied"], row["level"])
+    # duplicate areas stay exactly tied
+    by_name = {a.name: a for a in got}
+    copies = {}
+    for area in inp.areas:
+        copies.setdefault(area.values.tobytes(), []).append(by_name[area.name])
+    for twins in copies.values():
+        assert len({(a.gamma_pos, a.gamma_neg, a.superiority, a.rank) for a in twins}) == 1
+        assert len(twins) == 1 or all(a.tied for a in twins)
+
+
+@pytest.mark.parametrize("h", [3.0, 5.0, 6.0, 7.0])
+def test_constant_difference_family_gives_degrees_in_unit_range(h):
+    # every local volume difference of an area is the same here, which is where
+    # a degree formed from the mean difference can round outside [0, 1]
+    for m in range(2, 40):
+        inp = make_input([np.full((m, 2), 10.0), np.tile([0.0, h], (m, 1))],
+                         time_weights=[0.5, 0.5])
+        for a in run_assessment(inp).result.areas:
+            assert 0.0 <= a.gamma_pos <= 1.0 and 0.0 <= a.gamma_neg <= 1.0
