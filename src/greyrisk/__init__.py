@@ -10,7 +10,6 @@ from ._meta import VERSION as __version__
 from .incidence import ZeroingMode, incidence_family, local_volume, zeroing_image
 from .io import InputFormatError, load_input
 from .model import (
-    AreaSeries,
     AssessmentInput,
     IndexDefinition,
     Orientation,
@@ -30,7 +29,6 @@ from .weighting import apply_weights, negative_ideal, positive_ideal
 
 __all__ = [
     "__version__",
-    "AreaSeries",
     "AssessmentInput",
     "DegenerateAssessmentError",
     "IndexDefinition",

@@ -84,11 +84,8 @@ def _cmd_assess(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    inp = gio.load_input(args.input, args.input_format)
-    print(
-        f"OK: {inp.num_areas} areas, {inp.num_indices} indices, "
-        f"{inp.num_periods} periods"
-    )
+    n, m, T = gio.load_input(args.input, args.input_format).values.shape
+    print(f"OK: {n} areas, {m} indices, {T} periods")
     return EXIT_OK
 
 
@@ -111,15 +108,12 @@ def main(argv: list[str] | None = None) -> int:
         for err in exc.errors:
             print(f"  - {err}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (gio.InputFormatError, OSError) as exc:
+    except (gio.InputFormatError, OSError, UnicodeEncodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except DegenerateAssessmentError as exc:
         print(f"degenerate computation: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except ValueError as exc:  # bad configuration values
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
 
 
 def entrypoint() -> None:

@@ -30,13 +30,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .model import (
-    AreaSeries,
     AssessmentInput,
     IndexDefinition,
     Orientation,
     OrientationKind,
     StageMatrices,
-    validate_input,
+    ValidationError,
 )
 
 if TYPE_CHECKING:
@@ -81,20 +80,60 @@ def _number(raw, locus: str, field: str) -> float:
         raise InputFormatError(f"{locus}: {field} must be a number, got {raw!r}") from exc
 
 
-def _require(d: dict, key: str, locus: str):
+def _require(d: dict, key: str, locus: str, kind: type = object):
     if not isinstance(d, dict):
         raise InputFormatError(f"{locus}: expected an object, got {type(d).__name__}")
     if key not in d:
         raise InputFormatError(f"{locus}: missing required field '{key}'")
+    if not isinstance(d[key], kind):
+        raise InputFormatError(
+            f"{locus}: field '{key}' must be a {kind.__name__}, got {type(d[key]).__name__}"
+        )
     return d[key]
 
 
+def _assemble(indices, labels, time_weights, n: int, areas) -> AssessmentInput:
+    """Read n (name, m x T grid) pairs one at a time into one (n, m, T) array."""
+    m, T = len(indices), len(labels)
+    values, names, errors = np.empty((0, m, T)), [], []
+    for k, (name, grid) in enumerate(areas):
+        names.append(name)
+        if grid.shape != (m, T):
+            got = "x".join(str(s) for s in grid.shape)
+            errors.append(f"area '{name}': expected {m}x{T} value matrix, got {got}")
+        elif not errors:
+            if k == 0:  # allocated only once a grid has the declared shape
+                values = np.empty((n, m, T))
+            values[k] = grid
+    if errors:
+        raise ValidationError(errors)
+    return AssessmentInput(indices, labels, time_weights, names, values)
+
+
+def _json_areas(entries: list):
+    for k, entry in enumerate(entries):
+        locus = f"areas[{k}]"
+        name = str(_require(entry, "name", locus))
+        values = _require(entry, "values", locus)
+        try:
+            grid = np.array(values, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InputFormatError(
+                f"{locus} ('{name}'): values must be a rectangular grid of numbers: {exc}"
+            ) from exc
+        if grid.ndim != 2:
+            raise InputFormatError(
+                f"{locus} ('{name}'): values must be a rectangular grid of numbers"
+            )
+        yield name, grid
+
+
 def input_from_dict(doc: dict) -> AssessmentInput:
-    """Build an (unvalidated) AssessmentInput from the json document schema."""
+    """Build a validated AssessmentInput from the json document schema."""
     if not isinstance(doc, dict):
         raise InputFormatError("top level must be an object")
     indices = []
-    for k, entry in enumerate(_require(doc, "indices", "input")):
+    for k, entry in enumerate(_require(doc, "indices", "input", list)):
         locus = f"indices[{k}]"
         indices.append(
             IndexDefinition(
@@ -105,35 +144,16 @@ def input_from_dict(doc: dict) -> AssessmentInput:
             )
         )
     labels, time_weights = [], []
-    for k, entry in enumerate(_require(doc, "periods", "input")):
+    for k, entry in enumerate(_require(doc, "periods", "input", list)):
         locus = f"periods[{k}]"
         labels.append(str(_require(entry, "label", locus)))
         time_weights.append(_number(_require(entry, "weight", locus), locus, "weight"))
-    areas = []
-    for k, entry in enumerate(_require(doc, "areas", "input")):
-        locus = f"areas[{k}]"
-        name = str(_require(entry, "name", locus))
-        values = _require(entry, "values", locus)
-        try:
-            arr = np.array(values, dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InputFormatError(
-                f"{locus} ('{name}'): values must be a rectangular grid of numbers: {exc}"
-            ) from exc
-        if arr.ndim != 2:
-            raise InputFormatError(
-                f"{locus} ('{name}'): values must be a rectangular grid of numbers"
-            )
-        areas.append(AreaSeries(name=name, values=arr))
-    return AssessmentInput(
-        indices=tuple(indices),
-        periods=tuple(labels),
-        time_weights=np.array(time_weights, dtype=float),
-        areas=tuple(areas),
-    )
+    entries = _require(doc, "areas", "input", list)
+    return _assemble(indices, labels, time_weights, len(entries), _json_areas(entries))
 
 
-def input_to_dict(inp: AssessmentInput) -> dict:
+def _metadata(inp: AssessmentInput) -> dict:
+    """The json document's "indices" and "periods" fields."""
     def orientation_doc(o: Orientation):
         if o.kind is OrientationKind.INTERVAL:
             return {"interval": [o.interval_low, o.interval_high]}
@@ -149,10 +169,12 @@ def input_to_dict(inp: AssessmentInput) -> dict:
             {"label": label, "weight": float(w)}
             for label, w in zip(inp.periods, inp.time_weights)
         ],
-        "areas": [
-            {"name": a.name, "values": a.values.tolist()} for a in inp.areas
-        ],
     }
+
+
+def input_to_dict(inp: AssessmentInput) -> dict:
+    areas = zip(inp.area_names, inp.values.tolist())
+    return {**_metadata(inp), "areas": [{"name": a, "values": v} for a, v in areas]}
 
 
 def input_to_json(inp: AssessmentInput) -> str:
@@ -160,9 +182,15 @@ def input_to_json(inp: AssessmentInput) -> str:
 
 
 def compute_fingerprint(inp: AssessmentInput) -> str:
-    """Content hash of the dataset, independent of file formatting."""
-    canonical = json.dumps(input_to_dict(inp), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    """Content hash of the dataset, independent of file formatting.
+
+    sha256 over the canonical JSON of the indices, periods, area names and
+    shape, then over the little-endian float64 bytes of the raw scores.
+    """
+    meta = {**_metadata(inp), "areas": inp.area_names, "shape": inp.values.shape}
+    digest = hashlib.sha256(json.dumps(meta, sort_keys=True, separators=(",", ":")).encode())
+    digest.update(np.ascontiguousarray(inp.values, dtype="<f8"))
+    return digest.hexdigest()
 
 
 def _load_json(path: Path) -> AssessmentInput:
@@ -171,12 +199,32 @@ def _load_json(path: Path) -> AssessmentInput:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # also UnicodeDecodeError, and integers too long to convert
+        raise InputFormatError(f"{path}: {exc}") from exc
     return input_from_dict(doc)
 
 
-def _csv_rows(path: Path) -> list[dict]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))
+def _csv_grid(path: Path) -> np.ndarray:
+    rows = []
+    for line, row in enumerate(_csv_rows(path, csv.reader), start=1):
+        if not row:
+            continue
+        try:
+            rows.append([float(v) for v in row])
+        except ValueError as exc:
+            raise InputFormatError(f"{path.name} row {line}: {exc}") from exc
+    widths = {len(r) for r in rows}
+    if len(widths) > 1:
+        raise InputFormatError(f"{path.name}: rows have differing widths {sorted(widths)}")
+    return np.array(rows, dtype=float)
+
+
+def _csv_rows(path: Path, reader=csv.DictReader) -> list:
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return list(reader(fh))
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path}: {exc}") from exc
 
 
 def _load_csv_bundle(root: Path) -> AssessmentInput:
@@ -218,51 +266,29 @@ def _load_csv_bundle(root: Path) -> AssessmentInput:
         except (KeyError, TypeError, ValueError) as exc:
             raise InputFormatError(f"{locus}: {exc}") from exc
 
-    areas = []
     area_files = sorted(
         p for p in root.glob("*.csv") if p.name not in ("indices.csv", "periods.csv")
     )
     if not area_files:
         raise InputFormatError(f"csv bundle {root}: no area files found")
-    for path in area_files:
-        rows = []
-        with open(path, newline="", encoding="utf-8") as fh:
-            for k, row in enumerate(csv.reader(fh)):
-                if not row:
-                    continue
-                try:
-                    rows.append([float(v) for v in row])
-                except ValueError as exc:
-                    raise InputFormatError(f"{path.name} row {k + 1}: {exc}") from exc
-        widths = {len(r) for r in rows}
-        if len(widths) > 1:
-            raise InputFormatError(f"{path.name}: rows have differing widths {sorted(widths)}")
-        areas.append(AreaSeries(name=path.stem, values=np.array(rows, dtype=float)))
-
-    return AssessmentInput(
-        indices=tuple(indices),
-        periods=tuple(labels),
-        time_weights=np.array(time_weights, dtype=float),
-        areas=tuple(areas),
-    )
+    return _assemble(indices, labels, time_weights, len(area_files),
+                     ((p.stem, _csv_grid(p)) for p in area_files))
 
 
 def load_input(path, fmt: str | None = None) -> AssessmentInput:
-    """Parse a dataset file (json) or directory (csv-bundle) and validate it.
+    """Parse a dataset file (json) or directory (csv-bundle) into a validated input.
 
-    Parse problems raise InputFormatError with a file/field locus;
-    validation problems raise ValidationError listing every violation.
+    Parse problems, text that is not UTF-8 included, raise InputFormatError with a
+    file/field locus; ValidationError lists every wrong-shaped area grid, else every violation.
     """
     path = Path(path)
     if fmt is None:
         fmt = "csv-bundle" if path.is_dir() else "json"
     if fmt == "json":
-        inp = _load_json(path)
-    elif fmt == "csv-bundle":
-        inp = _load_csv_bundle(path)
-    else:
-        raise InputFormatError(f"unknown input format '{fmt}' (allowed: json, csv-bundle)")
-    return validate_input(inp)
+        return _load_json(path)
+    if fmt == "csv-bundle":
+        return _load_csv_bundle(path)
+    raise InputFormatError(f"unknown input format '{fmt}' (allowed: json, csv-bundle)")
 
 
 # ---------------------------------------------------------------------------

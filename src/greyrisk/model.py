@@ -1,9 +1,9 @@
 """Core domain types for dynamic multi-criteria risk assessment.
 
 An assessment problem consists of n areas, each scored on m indices over
-T periods. Every area carries an m x T matrix of raw scores (row = index,
-column = period); index weights and time weights are supplied as data.
-All types are immutable value objects and safe to share across threads.
+T periods. The raw scores are one (n, m, T) array (row = index, column =
+period in each area's matrix); index weights and time weights are supplied as
+data. All types are immutable value objects and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -71,50 +71,29 @@ class IndexDefinition:
 
 
 @dataclass(frozen=True)
-class AreaSeries:
-    """Raw score matrix of one assessed area, shape m x T."""
-
-    name: str
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.values, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-
-@dataclass(frozen=True)
 class AssessmentInput:
-    """A full assessment problem.
+    """A full assessment problem, validated when it is built.
 
-    Weight vectors are kept as given; renormalization to an exact unit sum
-    happens at run time and is recorded in the report's config echo.
+    The leading axis of ``values`` is aligned with ``area_names``. Weight
+    vectors are kept as given; renormalization to an exact unit sum happens at
+    run time and is recorded in the report's config echo.
     """
 
     indices: tuple[IndexDefinition, ...]
     periods: tuple[str, ...]
     time_weights: np.ndarray
-    areas: tuple[AreaSeries, ...]
+    area_names: tuple[str, ...]
+    values: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "indices", tuple(self.indices))
         object.__setattr__(self, "periods", tuple(str(p) for p in self.periods))
-        object.__setattr__(self, "areas", tuple(self.areas))
-        tw = np.array(self.time_weights, dtype=float)
-        tw.setflags(write=False)
-        object.__setattr__(self, "time_weights", tw)
-
-    @property
-    def num_indices(self) -> int:
-        return len(self.indices)
-
-    @property
-    def num_periods(self) -> int:
-        return len(self.periods)
-
-    @property
-    def num_areas(self) -> int:
-        return len(self.areas)
+        object.__setattr__(self, "area_names", tuple(self.area_names))
+        for field in ("time_weights", "values"):
+            arr = np.array(getattr(self, field), dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, field, arr)
+        validate_input(self)
 
     @property
     def index_weights(self) -> np.ndarray:
@@ -187,11 +166,10 @@ def _check_ranges(
 def validate_input(inp: AssessmentInput) -> AssessmentInput:
     """Check every input invariant; raise ValidationError listing all violations.
 
-    Returns the input object unchanged when valid, so validation is
-    idempotent.
+    Runs when an AssessmentInput is built; returns the input unchanged when valid.
     """
     errors: list[str] = []
-    m, T, n = inp.num_indices, inp.num_periods, inp.num_areas
+    m, T, n = len(inp.indices), len(inp.periods), len(inp.area_names)
 
     if m < 2:
         errors.append(f"m >= 2 required (local volume needs a 2x2 grid), got m={m}")
@@ -211,10 +189,10 @@ def validate_input(inp: AssessmentInput) -> AssessmentInput:
 
     # reports, tie flags, and trace files key rows by area name
     seen_areas: set[str] = set()
-    for area in inp.areas:
-        if area.name in seen_areas:
-            errors.append(f"duplicate area name '{area.name}'")
-        seen_areas.add(area.name)
+    for name in inp.area_names:
+        if name in seen_areas:
+            errors.append(f"duplicate area name '{name}'")
+        seen_areas.add(name)
 
     if inp.time_weights.shape != (T,):
         errors.append(
@@ -236,22 +214,22 @@ def validate_input(inp: AssessmentInput) -> AssessmentInput:
         if math.isfinite(theta_sum) and abs(theta_sum - 1.0) > WEIGHT_SUM_TOLERANCE:
             errors.append(f"time weights sum {theta_sum:.2f} outside tolerance")
 
-    usable = []
-    for area in inp.areas:
-        if area.values.ndim != 2 or area.values.shape != (m, T):
-            got = "x".join(str(k) for k in area.values.shape)
-            errors.append(f"area '{area.name}': expected {m}x{T} value matrix, got {got}")
-            continue
-        if not np.isfinite(area.values).all():
-            bad = np.argwhere(~np.isfinite(area.values))[0]
+    values = inp.values
+    if values.shape != (n, m, T):
+        got = "x".join(str(k) for k in values.shape)
+        errors.append(f"values: expected {n}x{m}x{T} array, got {got}")
+    elif values.size:
+        finite = np.isfinite(values)
+        area_finite = finite.all(axis=(1, 2))
+        for k in np.flatnonzero(~area_finite):
+            j, t = np.argwhere(~finite[k])[0]
             errors.append(
-                f"area '{area.name}': non-finite value at index "
-                f"'{inp.indices[bad[0]].id}', period '{inp.periods[bad[1]]}'"
+                f"area '{inp.area_names[k]}': non-finite value at index "
+                f"'{inp.indices[j].id}', period '{inp.periods[t]}'"
             )
-            continue
-        usable.append(area.values)
-    if usable and T > 0:
-        _check_ranges(inp.indices, np.stack(usable), errors)
+        if area_finite.any():
+            usable = values if area_finite.all() else values[area_finite]
+            _check_ranges(inp.indices, usable, errors)
 
     if errors:
         raise ValidationError(errors)

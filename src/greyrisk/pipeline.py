@@ -15,7 +15,7 @@ import numpy as np
 from . import io as gio
 from ._meta import VERSION
 from .incidence import ZeroingMode, incidence_family, local_volume, zeroing_image
-from .model import AssessmentInput, StageMatrices, validate_input
+from .model import AssessmentInput, StageMatrices
 from .normalize import standardize_all
 from .ranking import (
     DegenerateAssessmentError,
@@ -86,14 +86,13 @@ def _renormalized(weights: np.ndarray, enabled: bool) -> tuple[np.ndarray, bool]
 def run_assessment(inp: AssessmentInput, config: RunConfig | None = None) -> AssessmentReport:
     """Run the full assessment procedure and return a ranked report.
 
-    Steps, in order: validate, standardize, weight, build ideal matrices,
-    volumetric incidence against each ideal, superiority degrees, ranking,
-    classification. Errors carry the failing step in their message.
+    Steps, in order: standardize, weight, build ideal matrices, volumetric
+    incidence against each ideal, superiority degrees, ranking, classification
+    (the input was validated when built). Errors carry the failing step.
     """
     config = (config or RunConfig()).validate()
     t0 = time.perf_counter()
 
-    validate_input(inp)
     fingerprint = gio.compute_fingerprint(inp)
 
     lam_raw = inp.index_weights
@@ -102,7 +101,7 @@ def run_assessment(inp: AssessmentInput, config: RunConfig | None = None) -> Ass
     theta, theta_renormed = _renormalized(theta_raw, config.renormalize_weights)
 
     mode = config.zeroing_mode
-    b = standardize_all(np.stack([a.values for a in inp.areas]), inp.indices)
+    b = standardize_all(inp.values.copy(), inp.indices)
     c = apply_weights(b, lam, theta)
     c_pos, c_neg = positive_ideal(c), negative_ideal(c)
     vol = local_volume(zeroing_image(c, mode))
@@ -120,12 +119,12 @@ def run_assessment(inp: AssessmentInput, config: RunConfig | None = None) -> Ass
     except DegenerateAssessmentError as exc:
         k = np.flatnonzero((gp == 0.0) & (gn == 0.0))[0]
         raise DegenerateAssessmentError(
-            f"superiority step: area '{inp.areas[k].name}': {exc}"
+            f"superiority step: area '{inp.area_names[k]}': {exc}"
         ) from exc
 
     order, rank, tied = rank_areas(s)
     rows = list(zip(
-        (a.name for a in inp.areas), gp.tolist(), gn.tolist(), s.tolist(), rank.tolist(),
+        inp.area_names, gp.tolist(), gn.tolist(), s.tolist(), rank.tolist(),
         map(RiskLevel, classify(s).tolist()), tied.tolist(),
     ))
     records = tuple(AreaAssessment(*rows[k]) for k in order.tolist())
@@ -147,7 +146,7 @@ def run_assessment(inp: AssessmentInput, config: RunConfig | None = None) -> Ass
         trace = StageMatrices(
             index_ids=tuple(d.id for d in inp.indices),
             period_labels=inp.periods,
-            area_names=tuple(a.name for a in inp.areas),
+            area_names=inp.area_names,
             standardized=b,
             weighted=c,
             positive_ideal=c_pos,

@@ -1,19 +1,21 @@
+import csv
+
 import numpy as np
 import pytest
 
-from greyrisk import AreaSeries, AssessmentInput, IndexDefinition, Orientation, standardize_all
+from greyrisk import AssessmentInput, IndexDefinition, Orientation, standardize_all
 from greyrisk.pipeline import load_bundled_case
 
 
 def make_input(matrices, index_weights=None, time_weights=None, orientations=None,
                names=None):
-    """Assemble an AssessmentInput from raw m x T matrices.
+    """Assemble an AssessmentInput from raw m x T matrices, one per area.
 
     Defaults: uniform weights summing to 1, benefit orientation, names
-    area1..areaN. Does not validate.
+    area1..areaN. Building the input validates it.
     """
-    mats = [np.asarray(v, dtype=float) for v in matrices]
-    m, T = mats[0].shape
+    values = np.asarray(matrices, dtype=float)
+    n, m, T = values.shape
     if index_weights is None:
         index_weights = [1.0 / m] * m
     if time_weights is None:
@@ -21,7 +23,7 @@ def make_input(matrices, index_weights=None, time_weights=None, orientations=Non
     if orientations is None:
         orientations = [Orientation.benefit()] * m
     if names is None:
-        names = [f"area{k + 1}" for k in range(len(mats))]
+        names = [f"area{k + 1}" for k in range(n)]
     indices = tuple(
         IndexDefinition(id=f"e{j + 1}", name=f"criterion {j + 1}",
                         orientation=orientations[j], weight=float(index_weights[j]))
@@ -31,13 +33,34 @@ def make_input(matrices, index_weights=None, time_weights=None, orientations=Non
         indices=indices,
         periods=tuple(f"t{t + 1}" for t in range(T)),
         time_weights=np.asarray(time_weights, dtype=float),
-        areas=tuple(AreaSeries(name=n, values=v) for n, v in zip(names, mats)),
+        area_names=tuple(names),
+        values=values,
     )
 
 
 def standardized(inp):
     """Standardized (n, m, T) scores of an input's areas."""
-    return standardize_all(np.stack([a.values for a in inp.areas]), inp.indices)
+    return standardize_all(inp.values.copy(), inp.indices)
+
+
+def write_bundle(root, case_dict):
+    """Write a json-schema document with no interval index as a csv bundle under ``root``."""
+    root.mkdir(exist_ok=True)
+    with open(root / "indices.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["id", "name", "orientation", "weight", "interval_low", "interval_high"])
+        for d in case_dict["indices"]:
+            w.writerow([d["id"], d["name"], d["orientation"], d["weight"], "", ""])
+    with open(root / "periods.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["label", "weight"])
+        for p in case_dict["periods"]:
+            w.writerow([p["label"], p["weight"]])
+    for area in case_dict["areas"]:
+        with open(root / f"{area['name']}.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            for row in area["values"]:
+                w.writerow(row)
 
 
 # Three tiny areas where area1 sits strictly farthest from both ideal

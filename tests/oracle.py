@@ -41,10 +41,9 @@ class IndexExtrema:
 def compute_extrema(inp: AssessmentInput) -> list[IndexExtrema]:
     """Per-index min/max over every area and period, plus median statistics
     for intermediate indices."""
-    stacked = np.stack([a.values for a in inp.areas])  # n x m x T
     out: list[IndexExtrema] = []
     for j, d in enumerate(inp.indices):
-        rows = stacked[:, j, :]  # n x T
+        rows = inp.values[:, j, :]  # n x T
         medians = None
         max_abs_dev = None
         if d.orientation.kind is OrientationKind.INTERMEDIATE:
@@ -91,11 +90,11 @@ def standardize_all(inp: AssessmentInput) -> list[np.ndarray]:
     """Standardized m x T matrix of every area, cell by cell."""
     extrema = compute_extrema(inp)
     out = []
-    for area in inp.areas:
-        b = np.empty_like(area.values)
+    for raw in inp.values:
+        b = np.empty_like(raw)
         for j, d in enumerate(inp.indices):
             ex, o = extrema[j], d.orientation
-            for t, v in enumerate(area.values[j]):
+            for t, v in enumerate(raw[j]):
                 v = float(v)
                 if o.kind is OrientationKind.BENEFIT:
                     b[j, t] = standardize_benefit(v, ex)
@@ -195,7 +194,8 @@ def assess(inp: AssessmentInput, mode: ZeroingMode = ZeroingMode.FIRST_COLUMN) -
     cs = [lam[:, None] * b * theta[None, :] for b in standardize_all(inp)]
     fam_pos = incidence_family(np.maximum.reduce(cs), cs, mode)
     fam_neg = incidence_family(np.minimum.reduce(cs), cs, mode)
-    gammas = {a.name: (gp, gn) for a, gp, gn in zip(inp.areas, fam_pos.degrees, fam_neg.degrees)}
+    gammas = {name: (gp, gn)
+              for name, gp, gn in zip(inp.area_names, fam_pos.degrees, fam_neg.degrees)}
     ranked = rank_areas([(name, superiority_degree(gp, gn)) for name, (gp, gn) in gammas.items()])
     return [
         {"name": name, "gamma_pos": gammas[name][0], "gamma_neg": gammas[name][1],

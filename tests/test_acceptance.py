@@ -134,9 +134,9 @@ def test_criterion_5_property_suites():
 
         # cost = 1 - benefit exactly
         for _ in range(200):
-            mats = [rng.uniform(-100.0, 100.0, (1, 3)) for _ in range(2)]
-            benefit = standardized(make_input(mats, orientations=[Orientation.benefit()]))
-            cost = standardized(make_input(mats, orientations=[Orientation.cost()]))
+            mats = [rng.uniform(-100.0, 100.0, (2, 3)) for _ in range(2)]
+            benefit = standardized(make_input(mats, orientations=[Orientation.benefit()] * 2))
+            cost = standardized(make_input(mats, orientations=[Orientation.cost()] * 2))
             assert (cost == 1.0 - benefit).all()
 
         # ideal dominance

@@ -8,7 +8,7 @@ from greyrisk.cli import main
 from greyrisk.io import input_to_json
 from greyrisk.pipeline import load_bundled_case
 
-from conftest import DEGENERATE_MATRICES, make_input
+from conftest import DEGENERATE_MATRICES, make_input, write_bundle
 
 
 @pytest.fixture
@@ -114,6 +114,58 @@ def test_parse_failure_exits_2(tmp_path, capsys):
     path.write_text("{not json")
     assert main(["assess", "--input", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _bad_utf8_json(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"\xff" + input_to_json(load_bundled_case()).encode("utf-8"))
+    return path
+
+
+def _bad_utf8_bundle_area(tmp_path):
+    doc = json.loads(input_to_json(load_bundled_case()))
+    root = tmp_path / "bundle"
+    write_bundle(root, doc)
+    path = root / "area2.csv"
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\xff\n", 1))
+    return path
+
+
+def _oversized_integer(tmp_path):
+    doc = json.loads(input_to_json(load_bundled_case()))
+    doc["areas"][0]["values"][0][0] = "BIG"
+    path = tmp_path / "huge_int.json"
+    path.write_text(json.dumps(doc).replace('"BIG"', "9" * 5000))
+    return path
+
+
+@pytest.mark.parametrize("make", [_bad_utf8_json, _bad_utf8_bundle_area, _oversized_integer],
+                         ids=["json-not-utf8", "bundle-area-not-utf8", "oversized-integer"])
+def test_undecodable_input_names_path_and_exits_2(tmp_path, capsys, make):
+    path = make(tmp_path)
+    source = path.parent if path.suffix == ".csv" else path
+    assert main(["assess", "--input", str(source)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, options", [
+    ("areas", ["--format", "text"]),
+    ("areas", ["--format", "csv"]),
+    ("periods", ["--format", "json", "--trace-dir"]),
+], ids=["area-text", "area-csv", "period-trace"])
+def test_unencodable_name_exits_2(tmp_path, capsys, field, options):
+    doc = json.loads(input_to_json(load_bundled_case()))
+    doc[field][1]["name" if field == "areas" else "label"] = "\ud800"
+    path = tmp_path / "surrogate.json"
+    path.write_text(json.dumps(doc))
+    if options[-1] == "--trace-dir":
+        options = options + [str(tmp_path / "trace")]
+    assert main(["assess", "--input", str(path), *options]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: 'utf-8' codec can't encode character '\\ud800'")
+    assert "Traceback" not in err
 
 
 def test_missing_file_exits_2(tmp_path, capsys):

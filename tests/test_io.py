@@ -1,7 +1,9 @@
+import copy
 import csv
 import dataclasses
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from greyrisk.io import (
     write_trace,
 )
 
+from conftest import make_input, write_bundle
+
 
 @pytest.fixture
 def case_dict(bundled_input):
@@ -27,8 +31,7 @@ def case_dict(bundled_input):
 
 class TestLoadJson:
     def test_bundled_dataset_dimensions(self, bundled_input):
-        assert (bundled_input.num_areas, bundled_input.num_indices,
-                bundled_input.num_periods) == (3, 15, 6)
+        assert bundled_input.values.shape == (3, 15, 6)
 
     def test_wrong_width_is_validation_error_naming_area(self, tmp_path, case_dict):
         case_dict["areas"][1]["values"] = [row[:-1] for row in case_dict["areas"][1]["values"]]
@@ -37,6 +40,25 @@ class TestLoadJson:
         with pytest.raises(ValidationError) as exc:
             load_input(path)
         assert any("area2" in e and "15x6" in e for e in exc.value.errors)
+
+    def test_wrong_shapes_allocate_no_value_array(self):
+        # 400 indices x 400 periods x 50 areas would be a 64 MB value array
+        doc = {
+            "indices": [{"id": f"i{j}", "name": f"i{j}", "orientation": "benefit",
+                         "weight": 1 / 400} for j in range(400)],
+            "periods": [{"label": f"p{t}", "weight": 1 / 400} for t in range(400)],
+            "areas": [{"name": f"a{k}", "values": [[0.0]]} for k in range(50)],
+        }
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError) as exc:
+                input_from_dict(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(exc.value.errors) == 50
+        assert exc.value.errors[0] == "area 'a0': expected 400x400 value matrix, got 1x1"
+        assert peak < 8e6
 
     def test_unknown_orientation_lists_allowed(self, tmp_path, case_dict):
         case_dict["indices"][0]["orientation"] = "bigger"
@@ -92,6 +114,17 @@ class TestLoadJson:
         with pytest.raises(InputFormatError, match=locus):
             load_input(path)
 
+    @pytest.mark.parametrize("field, value, kind", [
+        ("indices", 5, "int"), ("periods", "abc", "str"), ("areas", {"a": 1}, "dict"),
+    ], ids=["indices", "periods", "areas"])
+    def test_top_level_field_must_be_a_list(self, tmp_path, case_dict, field, value, kind):
+        case_dict[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(case_dict))
+        with pytest.raises(InputFormatError,
+                           match=f"input: field '{field}' must be a list, got {kind}$"):
+            load_input(path)
+
     def test_malformed_json_reports_position(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"indices": [,]}')
@@ -118,29 +151,39 @@ class TestRoundTrip:
         )
 
 
-def _write_bundle(root, case_dict):
-    root.mkdir(exist_ok=True)
-    with open(root / "indices.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["id", "name", "orientation", "weight", "interval_low", "interval_high"])
-        for d in case_dict["indices"]:
-            w.writerow([d["id"], d["name"], d["orientation"], d["weight"], "", ""])
-    with open(root / "periods.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["label", "weight"])
-        for p in case_dict["periods"]:
-            w.writerow([p["label"], p["weight"]])
-    for area in case_dict["areas"]:
-        with open(root / f"{area['name']}.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            for row in area["values"]:
-                w.writerow(row)
+class TestFingerprint:
+    def test_bundled_case_value(self, bundled_input):
+        assert compute_fingerprint(bundled_input) == (
+            "dae8317b5f788e1a7bad1fb3b2ce00bad99a480f40f01f12da4e09975941f0ce"
+        )
+
+    def test_json_and_csv_bundle_hash_equal(self, tmp_path, bundled_input, case_dict):
+        write_bundle(tmp_path / "bundle", case_dict)
+        assert compute_fingerprint(load_input(tmp_path / "bundle")) == compute_fingerprint(
+            bundled_input
+        )
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["areas"][0].update(name="area9"),
+        lambda doc: doc["areas"].reverse(),
+        lambda doc: doc["indices"][5].update(weight=0.0586),
+        lambda doc: doc["periods"][2].update(weight=doc["periods"][2]["weight"] + 0.005),
+        lambda doc: doc["indices"][0].update(orientation={"interval": [10, 21]}),
+    ], ids=["area-name", "area-order", "index-weight", "time-weight",
+            "interval-bound"])
+    def test_hash_tracks_every_field(self, case_dict, edit):
+        case_dict["indices"][0]["orientation"] = {"interval": [10, 20]}
+        edited = copy.deepcopy(case_dict)
+        edit(edited)
+        assert compute_fingerprint(input_from_dict(edited)) != compute_fingerprint(
+            input_from_dict(case_dict)
+        )
 
 
 class TestCsvBundle:
     def test_bundle_loads_identically_to_json(self, tmp_path, bundled_input, case_dict):
         root = tmp_path / "bundle"
-        _write_bundle(root, case_dict)
+        write_bundle(root, case_dict)
         loaded = load_input(root)  # format inferred from directory
         assert input_to_dict(loaded) == input_to_dict(bundled_input)
 
@@ -153,7 +196,7 @@ class TestCsvBundle:
 
     def test_no_area_files(self, tmp_path, case_dict):
         root = tmp_path / "bundle"
-        _write_bundle(root, case_dict)
+        write_bundle(root, case_dict)
         for area in case_dict["areas"]:
             os.remove(root / f"{area['name']}.csv")
         with pytest.raises(InputFormatError, match="no area files"):
@@ -161,14 +204,14 @@ class TestCsvBundle:
 
     def test_ragged_area_rows(self, tmp_path, case_dict):
         root = tmp_path / "bundle"
-        _write_bundle(root, case_dict)
+        write_bundle(root, case_dict)
         (root / "area1.csv").write_text("1,2,3\n4,5\n")
         with pytest.raises(InputFormatError, match="differing widths"):
             load_input(root)
 
     def test_bad_number_reports_row(self, tmp_path, case_dict):
         root = tmp_path / "bundle"
-        _write_bundle(root, case_dict)
+        write_bundle(root, case_dict)
         (root / "area1.csv").write_text("1,2\nx,4\n")
         with pytest.raises(InputFormatError, match="area1.csv row 2"):
             load_input(root)
@@ -205,8 +248,6 @@ class TestEmitReport:
             emit_report(report, config, tmp_path / "missing_dir" / "report.txt")
 
     def test_text_flags_ties(self):
-        from conftest import make_input
-
         grid = [[1.0, 4.0], [2.0, 8.0]]
         inp = make_input([grid, grid], names=["twin1", "twin2"])
         report = run_assessment(inp)
@@ -247,9 +288,7 @@ class TestTrace:
                 assert f"{area}_{kind}.csv" in names
 
     def test_colliding_slugs_get_unused_suffixes(self, bundled_input, tmp_path):
-        renamed = dataclasses.replace(bundled_input, areas=tuple(
-            dataclasses.replace(a, name=name)
-            for a, name in zip(bundled_input.areas, ("x", "x_3", "X"))))
+        renamed = dataclasses.replace(bundled_input, area_names=("x", "x_3", "X"))
         report = run_assessment(renamed, RunConfig(emit_trace=True))
         written = write_trace(report.result.trace, tmp_path)
         assert len(set(written)) == len(list(tmp_path.glob("*.csv"))) == 22

@@ -1,14 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from greyrisk import (
-    AreaSeries,
     AssessmentInput,
     IndexDefinition,
     Orientation,
     ValidationError,
     default_wui_schema,
+    load_input,
+    run_assessment,
 )
+from greyrisk.io import input_from_dict, input_to_dict, input_to_json
 from greyrisk.model import OrientationKind, validate_input
 
 from conftest import make_input
@@ -16,9 +20,7 @@ from conftest import make_input
 
 def test_bundled_case_is_valid(bundled_input):
     assert validate_input(bundled_input) is bundled_input
-    assert bundled_input.num_areas == 3
-    assert bundled_input.num_indices == 15
-    assert bundled_input.num_periods == 6
+    assert bundled_input.values.shape == (3, 15, 6)
 
 
 def test_validate_is_idempotent(bundled_input):
@@ -27,31 +29,31 @@ def test_validate_is_idempotent(bundled_input):
     assert twice is bundled_input
 
 
-def _errors(inp):
+def _errors(build, *args, **kwargs):
+    """Violations that building an input with ``build(*args, **kwargs)`` reports."""
     with pytest.raises(ValidationError) as exc:
-        validate_input(inp)
+        build(*args, **kwargs)
     return exc.value.errors
 
 
 def test_single_period_rejected():
-    inp = make_input([[[1.0], [2.0]], [[3.0], [4.0]]], time_weights=[1.0])
-    assert any("T >= 2" in e for e in _errors(inp))
+    errs = _errors(make_input, [[[1.0], [2.0]], [[3.0], [4.0]]], time_weights=[1.0])
+    assert any("T >= 2" in e for e in errs)
 
 
 def test_single_index_rejected():
-    inp = make_input([[[1.0, 2.0]], [[3.0, 4.0]]], index_weights=[1.0])
-    assert any("m >= 2" in e for e in _errors(inp))
+    errs = _errors(make_input, [[[1.0, 2.0]], [[3.0, 4.0]]], index_weights=[1.0])
+    assert any("m >= 2" in e for e in errs)
 
 
 def test_single_area_rejected():
-    inp = make_input([[[1.0, 2.0], [3.0, 4.0]]])
-    assert any("n >= 2" in e for e in _errors(inp))
+    assert any("n >= 2" in e for e in _errors(make_input, [[[1.0, 2.0], [3.0, 4.0]]]))
 
 
 def test_index_weight_sum_out_of_tolerance():
-    inp = make_input([[[1.0, 2.0], [3.0, 4.0]], [[0.0, 1.0], [2.0, 3.0]]],
-                     index_weights=[0.45, 0.45])
-    msgs = [e for e in _errors(inp) if "index weights sum" in e]
+    errs = _errors(make_input, [[[1.0, 2.0], [3.0, 4.0]], [[0.0, 1.0], [2.0, 3.0]]],
+                   index_weights=[0.45, 0.45])
+    msgs = [e for e in errs if "index weights sum" in e]
     assert msgs and "0.9" in msgs[0] and "outside tolerance" in msgs[0]
 
 
@@ -68,76 +70,116 @@ def test_duplicate_index_ids():
         IndexDefinition(id="e1", name=d.name, orientation=d.orientation, weight=d.weight)
         for d in base.indices
     )
-    inp = AssessmentInput(indices=dup, periods=base.periods,
-                          time_weights=base.time_weights, areas=base.areas)
-    assert any("duplicate index id 'e1'" in e for e in _errors(inp))
+    errs = _errors(AssessmentInput, indices=dup, periods=base.periods,
+                   time_weights=base.time_weights, area_names=base.area_names,
+                   values=base.values)
+    assert any("duplicate index id 'e1'" in e for e in errs)
 
 
 def test_duplicate_area_names():
-    inp = make_input([[[1.0, 2.0], [3.0, 4.0]], [[0.0, 1.0], [2.0, 3.0]]],
-                     names=["same", "same"])
-    assert any("duplicate area name 'same'" in e for e in _errors(inp))
+    errs = _errors(make_input, [[[1.0, 2.0], [3.0, 4.0]], [[0.0, 1.0], [2.0, 3.0]]],
+                   names=["same", "same"])
+    assert any("duplicate area name 'same'" in e for e in errs)
 
 
 def test_non_finite_entry_located():
-    inp = make_input([[[1.0, np.nan], [3.0, 4.0]], [[0.0, 1.0], [2.0, 3.0]]])
-    msgs = [e for e in _errors(inp) if "non-finite" in e]
+    errs = _errors(make_input, [[[1.0, np.nan], [3.0, 4.0]], [[0.0, 1.0], [2.0, 3.0]]])
+    msgs = [e for e in errs if "non-finite" in e]
     assert msgs and "area1" in msgs[0] and "'e1'" in msgs[0] and "'t2'" in msgs[0]
 
 
 def test_shape_mismatch_names_area_and_dims():
-    inp = make_input([[[1.0, 2.0], [3.0, 4.0]], [[0.0, 1.0], [2.0, 3.0]]])
-    bad = AssessmentInput(
-        indices=inp.indices, periods=inp.periods, time_weights=inp.time_weights,
-        areas=(inp.areas[0], AreaSeries("short", np.zeros((2, 3)))),
-    )
-    msgs = [e for e in _errors(bad) if "short" in e]
+    # a loader checks each area's grid before it builds the input
+    doc = input_to_dict(make_input([[[1.0, 2.0], [3.0, 4.0]], [[0.0, 1.0], [2.0, 3.0]]]))
+    doc["areas"].append({"name": "short", "values": np.zeros((2, 3)).tolist()})
+    msgs = [e for e in _errors(input_from_dict, doc) if "short" in e]
     assert msgs and "2x2" in msgs[0] and "2x3" in msgs[0]
 
 
+def test_values_array_of_wrong_shape_rejected():
+    inp = make_input([[[1.0, 2.0], [3.0, 4.0]], [[0.0, 1.0], [2.0, 3.0]]])
+    errs = _errors(dataclasses.replace, inp, values=np.zeros((2, 2, 3)))
+    assert any("expected 2x2x2 array, got 2x2x3" in e for e in errs)
+
+
 def test_weight_out_of_range():
-    inp = make_input([[[1.0, 2.0], [3.0, 4.0]], [[0.0, 1.0], [2.0, 3.0]]],
-                     index_weights=[1.2, -0.2])
-    errs = _errors(inp)
+    errs = _errors(make_input, [[[1.0, 2.0], [3.0, 4.0]], [[0.0, 1.0], [2.0, 3.0]]],
+                   index_weights=[1.2, -0.2])
     assert any("'e1'" in e and "outside (0, 1]" in e for e in errs)
     assert any("'e2'" in e and "outside (0, 1]" in e for e in errs)
 
 
 def test_non_positive_time_weight():
-    inp = make_input([[[1.0, 2.0], [3.0, 4.0]], [[0.0, 1.0], [2.0, 3.0]]],
-                     time_weights=[1.0, 0.0])
-    assert any("time weight" in e and "not positive" in e for e in _errors(inp))
+    errs = _errors(make_input, [[[1.0, 2.0], [3.0, 4.0]], [[0.0, 1.0], [2.0, 3.0]]],
+                   time_weights=[1.0, 0.0])
+    assert any("time weight" in e and "not positive" in e for e in errs)
 
 
 def test_interval_bounds_required():
-    inp = make_input(
-        [[[1.0, 2.0], [3.0, 4.0]], [[0.0, 1.0], [2.0, 3.0]]],
+    errs = _errors(
+        make_input, [[[1.0, 2.0], [3.0, 4.0]], [[0.0, 1.0], [2.0, 3.0]]],
         orientations=[Orientation(OrientationKind.INTERVAL), Orientation.benefit()],
     )
-    assert any("interval orientation missing bounds" in e for e in _errors(inp))
+    assert any("interval orientation missing bounds" in e for e in errs)
 
 
 def test_interval_bounds_ordered():
-    inp = make_input(
-        [[[1.0, 2.0], [3.0, 4.0]], [[0.0, 1.0], [2.0, 3.0]]],
+    errs = _errors(
+        make_input, [[[1.0, 2.0], [3.0, 4.0]], [[0.0, 1.0], [2.0, 3.0]]],
         orientations=[Orientation.interval(5.0, 2.0), Orientation.benefit()],
     )
-    assert any("interval_low" in e for e in _errors(inp))
+    assert any("interval_low" in e for e in errs)
 
 
 def test_non_interval_must_not_carry_bounds():
-    inp = make_input(
-        [[[1.0, 2.0], [3.0, 4.0]], [[0.0, 1.0], [2.0, 3.0]]],
+    errs = _errors(
+        make_input, [[[1.0, 2.0], [3.0, 4.0]], [[0.0, 1.0], [2.0, 3.0]]],
         orientations=[Orientation(OrientationKind.BENEFIT, 1.0, 2.0),
                       Orientation.benefit()],
     )
-    assert any("must carry no interval bounds" in e for e in _errors(inp))
+    assert any("must carry no interval bounds" in e for e in errs)
+
+
+def test_invalid_input_rejected_when_built():
+    base = make_input([[[1.0, 2.0], [3.0, 4.0]], [[0.0, 1.0], [2.0, 3.0]]])
+    errs = _errors(AssessmentInput, indices=base.indices, periods=base.periods,
+                   time_weights=[0.5, 0.0], area_names=("a", "a"),
+                   values=[[[1.0, 2.0], [3.0, 4.0]], [[np.inf, 1.0], [2.0, 3.0]]])
+    assert any("duplicate area name 'a'" in e for e in errs)
+    assert any("time weight 0.0 not positive" in e for e in errs)
+    assert any("time weights sum 0.50" in e for e in errs)
+    assert any("non-finite value at index 'e1', period 't1'" in e for e in errs)
+
+
+def test_load_and_run_validate_once(bundled_input, tmp_path, monkeypatch):
+    import greyrisk.model as model
+
+    path = tmp_path / "case.json"
+    path.write_text(input_to_json(bundled_input))
+    calls = []
+
+    def counted(inp):
+        calls.append(inp)
+        return validate_input(inp)
+
+    monkeypatch.setattr(model, "validate_input", counted)
+    run_assessment(load_input(path))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("read_only", [False, True], ids=["writable", "read-only"])
+def test_input_does_not_share_the_given_array(bundled_input, read_only):
+    raw = np.array(bundled_input.values)
+    raw.setflags(write=not read_only)
+    inp = dataclasses.replace(bundled_input, values=raw)
+    raw.setflags(write=True)
+    raw[0, 0, 0] = 99.0
+    assert inp.values[0, 0, 0] == bundled_input.values[0, 0, 0]
 
 
 def test_all_violations_reported_together():
-    inp = make_input([[[1.0, np.inf], [3.0, 4.0]], [[0.0, 1.0], [2.0, 3.0]]],
-                     index_weights=[0.4, 0.4], time_weights=[0.9, 0.2])
-    errs = _errors(inp)
+    errs = _errors(make_input, [[[1.0, np.inf], [3.0, 4.0]], [[0.0, 1.0], [2.0, 3.0]]],
+                   index_weights=[0.4, 0.4], time_weights=[0.9, 0.2])
     assert len(errs) >= 3  # weight sum, time sum, non-finite entry
 
 
@@ -164,16 +206,14 @@ class TestDefaultSchema:
             indices=tuple(default_wui_schema()),
             periods=bundled_input.periods,
             time_weights=bundled_input.time_weights,
-            areas=tuple(
-                AreaSeries(f"random{k}", rng.uniform(0, 100, (15, 6)))
-                for k in range(3)
-            ),
+            area_names=tuple(f"random{k}" for k in range(3)),
+            values=rng.uniform(0, 100, (3, 15, 6)),
         )
         assert validate_input(inp) is inp
 
 
 def test_inputs_are_immutable(bundled_input):
     with pytest.raises(ValueError):
-        bundled_input.areas[0].values[0, 0] = 99.0
+        bundled_input.values[0, 0, 0] = 99.0
     with pytest.raises(ValueError):
         bundled_input.time_weights[0] = 99.0

@@ -1,4 +1,3 @@
-import dataclasses
 
 import numpy as np
 import pytest
@@ -94,7 +93,8 @@ class TestRunAssessment:
             indices=bundled_input.indices,
             periods=bundled_input.periods,
             time_weights=bundled_input.time_weights,
-            areas=bundled_input.areas[::-1],
+            area_names=bundled_input.area_names[::-1],
+            values=bundled_input.values[::-1],
         )
         permuted = by_name(run_assessment(shuffled))
         assert set(base) == set(permuted)
@@ -110,12 +110,8 @@ class TestRunAssessment:
             indices=bundled_input.indices,
             periods=bundled_input.periods,
             time_weights=bundled_input.time_weights,
-            areas=tuple(
-                dataclasses.replace(
-                    a, values=alphas[:, None] * a.values + betas[:, None]
-                )
-                for a in bundled_input.areas
-            ),
+            area_names=bundled_input.area_names,
+            values=alphas[:, None] * bundled_input.values + betas[:, None],
         )
         base, moved = by_name(run_assessment(bundled_input)), by_name(run_assessment(scaled))
         for name in base:
@@ -236,8 +232,8 @@ def test_matches_per_area_oracle(inp, mode):
     # duplicate areas stay exactly tied
     by_name = {a.name: a for a in got}
     copies = {}
-    for area in inp.areas:
-        copies.setdefault(area.values.tobytes(), []).append(by_name[area.name])
+    for name, raw in zip(inp.area_names, inp.values):
+        copies.setdefault(raw.tobytes(), []).append(by_name[name])
     for twins in copies.values():
         assert len({(a.gamma_pos, a.gamma_neg, a.superiority, a.rank) for a in twins}) == 1
         assert len(twins) == 1 or all(a.tied for a in twins)
