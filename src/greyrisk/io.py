@@ -37,6 +37,7 @@ from .model import (
     StageMatrices,
     ValidationError,
 )
+from .ranking import RiskLevel
 
 if TYPE_CHECKING:
     from .pipeline import AssessmentReport, RunConfig
@@ -75,6 +76,8 @@ def _parse_orientation(raw, locus: str) -> Orientation:
 
 def _number(raw, locus: str, field: str) -> float:
     try:
+        if isinstance(raw, bool):  # float() would read a JSON true as 1.0
+            raise TypeError(raw)
         return float(raw)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputFormatError(f"{locus}: {field} must be a number, got {raw!r}") from exc
@@ -125,6 +128,8 @@ def _json_areas(entries: list):
             raise InputFormatError(
                 f"{locus} ('{name}'): values must be a rectangular grid of numbers"
             )
+        if bool in {type(v) for row in values for v in row}:  # np.array read them as 1.0/0.0
+            raise InputFormatError(f"{locus} ('{name}'): values must be numbers, not true/false")
         yield name, grid
 
 
@@ -294,20 +299,20 @@ def load_input(path, fmt: str | None = None) -> AssessmentInput:
 # ---------------------------------------------------------------------------
 # report emission
 
+_ROW_FIELDS = ("name", "gamma_pos", "gamma_neg", "superiority", "rank", "level", "tied")
+_LEVEL_LABELS = {level.value: level.label for level in RiskLevel}
+
+
+def _rows(report: "AssessmentReport"):
+    """Each area's ``_ROW_FIELDS`` in rank order, the level as its label."""
+    r = report.result
+    return zip(r.names, r.gamma_pos.tolist(), r.gamma_neg.tolist(), r.superiority.tolist(),
+               r.rank.tolist(), map(_LEVEL_LABELS.__getitem__, r.level.tolist()), r.tied.tolist())
+
+
 def report_to_dict(report: "AssessmentReport") -> dict:
     return {
-        "areas": [
-            {
-                "name": a.name,
-                "gamma_pos": a.gamma_pos,
-                "gamma_neg": a.gamma_neg,
-                "superiority": a.superiority,
-                "rank": a.rank,
-                "level": a.level.label,
-                "tied": a.tied,
-            }
-            for a in report.result.areas
-        ],
+        "areas": [dict(zip(_ROW_FIELDS, row)) for row in _rows(report)],
         "config": report.result.config_echo,
         "fingerprint": report.fingerprint,
         "version": report.version,
@@ -318,15 +323,9 @@ def report_to_dict(report: "AssessmentReport") -> dict:
 def render_text(report: "AssessmentReport", decimals: int = 2) -> str:
     headers = ("area", "gamma+", "gamma-", "superiority", "rank", "level")
     rows = [
-        (
-            a.name,
-            f"{a.gamma_pos:.{decimals}f}",
-            f"{a.gamma_neg:.{decimals}f}",
-            f"{a.superiority:.{decimals}f}",
-            f"{a.rank}{'*' if a.tied else ''}",
-            a.level.label,
-        )
-        for a in report.result.areas
+        (name, f"{gp:.{decimals}f}", f"{gn:.{decimals}f}", f"{s:.{decimals}f}",
+         f"{rank}{'*' if tied else ''}", label)
+        for name, gp, gn, s, rank, label, tied in _rows(report)
     ]
     widths = [max(len(h), *(len(r[c]) for r in rows)) for c, h in enumerate(headers)]
     lines = [
@@ -334,7 +333,7 @@ def render_text(report: "AssessmentReport", decimals: int = 2) -> str:
         "  ".join("-" * w for w in widths),
     ]
     lines += ["  ".join(v.ljust(w) for v, w in zip(row, widths)) for row in rows]
-    if any(a.tied for a in report.result.areas):
+    if report.result.tied.any():
         lines.append("* tied superiority degree")
     lines.append(f"dataset {report.fingerprint[:12]}  tool {report.version}")
     return "\n".join(lines) + "\n"
@@ -345,12 +344,11 @@ def render_json(report: "AssessmentReport") -> str:
 
 
 def render_csv(report: "AssessmentReport") -> str:
-    lines = ["name,gamma_pos,gamma_neg,superiority,rank,level,tied"]
-    for a in report.result.areas:
-        lines.append(
-            f"{a.name},{a.gamma_pos!r},{a.gamma_neg!r},{a.superiority!r},"
-            f"{a.rank},{a.level.label},{str(a.tied).lower()}"
-        )
+    lines = [",".join(_ROW_FIELDS)]
+    for name, gp, gn, s, rank, label, tied in _rows(report):
+        if re.search(r'[,"\r\n]', name):  # csv.writer under a "\n" terminator leaves "\r" bare
+            name = '"' + name.replace('"', '""') + '"'
+        lines.append(f"{name},{gp!r},{gn!r},{s!r},{rank},{label},{str(tied).lower()}")
     return "\n".join(lines) + "\n"
 
 

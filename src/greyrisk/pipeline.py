@@ -63,9 +63,28 @@ class AreaAssessment:
 
 @dataclass(frozen=True)
 class AssessmentResult:
-    areas: tuple[AreaAssessment, ...]  # in rank order
+    """Scores of every area as columns in rank order, riskiest first.
+
+    ``names`` is a tuple; the others are (n,) arrays: float64 ``gamma_pos``, ``gamma_neg``,
+    ``superiority``; integer ``rank``, ``level`` (``RiskLevel`` numbers 1-7); bool ``tied``.
+    """
+
+    names: tuple[str, ...]
+    gamma_pos: np.ndarray
+    gamma_neg: np.ndarray
+    superiority: np.ndarray
+    rank: np.ndarray
+    level: np.ndarray
+    tied: np.ndarray
     config_echo: dict
     trace: StageMatrices | None = None
+
+    @property
+    def areas(self) -> tuple[AreaAssessment, ...]:
+        """Row view of the columns, one AreaAssessment per area, built on each access."""
+        return tuple(map(AreaAssessment, self.names, self.gamma_pos.tolist(),
+                         self.gamma_neg.tolist(), self.superiority.tolist(), self.rank.tolist(),
+                         map(RiskLevel, self.level.tolist()), self.tied.tolist()))
 
 
 @dataclass(frozen=True)
@@ -123,11 +142,6 @@ def run_assessment(inp: AssessmentInput, config: RunConfig | None = None) -> Ass
         ) from exc
 
     order, rank, tied = rank_areas(s)
-    rows = list(zip(
-        inp.area_names, gp.tolist(), gn.tolist(), s.tolist(), rank.tolist(),
-        map(RiskLevel, classify(s).tolist()), tied.tolist(),
-    ))
-    records = tuple(AreaAssessment(*rows[k]) for k in order.tolist())
 
     echo = {
         "zeroing_mode": config.zeroing_mode.value,
@@ -159,7 +173,9 @@ def run_assessment(inp: AssessmentInput, config: RunConfig | None = None) -> Ass
             coeff_neg=fam_neg.coefficients,
         )
 
-    result = AssessmentResult(areas=records, config_echo=echo, trace=trace)
+    result = AssessmentResult(
+        tuple(map(inp.area_names.__getitem__, order.tolist())), gp[order], gn[order],
+        s[order], rank[order], classify(s[order]), tied[order], echo, trace)
     return AssessmentReport(
         result=result,
         fingerprint=fingerprint,
@@ -173,8 +189,3 @@ def load_bundled_case() -> AssessmentInput:
     ref = resources.files("greyrisk").joinpath("data/wui-case.json")
     with resources.as_file(ref) as path:
         return gio.load_input(path, "json")
-
-
-def demo(config: RunConfig | None = None) -> AssessmentReport:
-    """Run the bundled case dataset with the default configuration."""
-    return run_assessment(load_bundled_case(), config)

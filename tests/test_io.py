@@ -1,14 +1,25 @@
 import copy
 import csv
 import dataclasses
+import io
 import json
 import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from greyrisk import InputFormatError, RunConfig, ValidationError, load_input, run_assessment
+from greyrisk import (
+    InputFormatError,
+    RunConfig,
+    ValidationError,
+    ZeroingMode,
+    load_input,
+    run_assessment,
+)
 from greyrisk.io import (
     compute_fingerprint,
     emit_report,
@@ -16,12 +27,16 @@ from greyrisk.io import (
     input_to_dict,
     input_to_json,
     render_csv,
+    render_json,
     render_text,
     report_to_dict,
     write_trace,
 )
 
 from conftest import make_input, write_bundle
+
+# the bundled case's reports in each zeroing mode, byte for byte (JSON duration 0.0)
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -105,8 +120,15 @@ class TestLoadJson:
         (lambda doc: doc["indices"].__setitem__(1, 7), r"indices\[1\]: expected an object"),
         (lambda doc: doc["periods"].__setitem__(0, "t1"), r"periods\[0\]: expected an object"),
         (lambda doc: doc["areas"].__setitem__(2, [[1.0]]), r"areas\[2\]: expected an object"),
+        (lambda doc: doc["areas"][1]["values"][4].__setitem__(2, True),
+         r"areas\[1\] \('area2'\): values must be numbers, not true/false"),
+        (lambda doc: doc["indices"][2].update(weight=True), r"indices\[2\]: weight"),
+        (lambda doc: doc["periods"][1].update(weight=False), r"periods\[1\]: weight"),
+        (lambda doc: doc["indices"][0].update(orientation={"interval": [0, True]}),
+         r"indices\[0\]: interval high"),
     ], ids=["null-weight", "text-weight", "list-period-weight", "null-interval-low",
-            "text-interval-high", "number-index", "string-period", "list-area"])
+            "text-interval-high", "number-index", "string-period", "list-area",
+            "boolean-cell", "boolean-weight", "boolean-period-weight", "boolean-interval-high"])
     def test_malformed_entry_located(self, tmp_path, case_dict, edit, locus):
         edit(case_dict)
         path = tmp_path / "bad.json"
@@ -240,6 +262,36 @@ class TestEmitReport:
         assert rows[0]["name"] == "area3"
         assert float(rows[0]["superiority"]) == report.result.areas[0].superiority
         assert rows[0]["level"] == "medium"
+
+    @settings(max_examples=60, deadline=None)
+    @given(names=st.lists(st.text(alphabet=st.sampled_from('ab,"\r\n é'), max_size=6),
+                          min_size=3, max_size=3, unique=True))
+    @example(names=["a\rb", 'North, "upper"', "c\n"])
+    def test_csv_names_and_values_read_back(self, bundled_input, names):
+        report = run_assessment(dataclasses.replace(bundled_input, area_names=tuple(names)))
+        rows = list(csv.DictReader(io.StringIO(render_csv(report), newline="")))
+        expected = report_to_dict(report)["areas"]
+        assert [r["name"] for r in rows] == [a["name"] for a in expected]
+        for row, area in zip(rows, expected):
+            for key in ("gamma_pos", "gamma_neg", "superiority"):
+                assert float(row[key]) == area[key]
+            assert int(row["rank"]) == area["rank"]
+            assert row["level"] == area["level"]
+            assert row["tied"] == str(area["tied"]).lower()
+
+    @pytest.mark.parametrize("mode", list(ZeroingMode), ids=lambda m: m.value)
+    def test_bundled_reports_match_golden_bytes(self, bundled_input, mode):
+        """The bundled case's reports, with the JSON report's duration set to 0.0."""
+        report = run_assessment(bundled_input, RunConfig(zeroing_mode=mode))
+        report = dataclasses.replace(report, duration_seconds=0.0)
+        rendered = {
+            f"{mode.value}-d2.txt": render_text(report, 2),
+            f"{mode.value}-d12.txt": render_text(report, 12),
+            f"{mode.value}.csv": render_csv(report),
+            f"{mode.value}.json": render_json(report),
+        }
+        for name, text in rendered.items():
+            assert text.encode("utf-8") == (GOLDEN / name).read_bytes(), name
 
     def test_unwritable_destination_raises_oserror(self, bundled_input, tmp_path):
         config = RunConfig()

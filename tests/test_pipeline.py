@@ -1,4 +1,6 @@
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,8 +15,8 @@ from greyrisk import (
     ZeroingMode,
     run_assessment,
 )
-from greyrisk.io import report_to_dict
-from greyrisk.pipeline import demo, load_bundled_case
+from greyrisk.io import render_csv, render_json, render_text, report_to_dict
+from greyrisk.pipeline import AreaAssessment, load_bundled_case
 
 import oracle
 from conftest import make_input
@@ -32,27 +34,27 @@ def by_name(report):
 
 
 class TestDemo:
-    def test_ranking(self):
-        report = demo()
+    def test_ranking(self, bundled_input):
+        report = run_assessment(bundled_input)
         assert [a.name for a in report.result.areas] == ["area3", "area2", "area1"]
         assert [a.rank for a in report.result.areas] == [1, 2, 3]
 
-    def test_all_levels_medium(self):
-        report = demo()
+    def test_all_levels_medium(self, bundled_input):
+        report = run_assessment(bundled_input)
         assert all(a.level is RiskLevel.MEDIUM for a in report.result.areas)
 
-    def test_gamma_and_superiority_regression(self):
-        areas = by_name(demo())
+    def test_gamma_and_superiority_regression(self, bundled_input):
+        areas = by_name(run_assessment(bundled_input))
         for k, name in enumerate(("area1", "area2", "area3")):
             assert areas[name].gamma_pos == pytest.approx(CASE_GAMMA_POS[k], abs=1e-9)
             assert areas[name].gamma_neg == pytest.approx(CASE_GAMMA_NEG[k], abs=1e-9)
             assert areas[name].superiority == pytest.approx(CASE_SUPERIORITY[k], abs=1e-9)
 
-    def test_runs_quickly(self):
-        assert demo().duration_seconds < 1.0
+    def test_runs_quickly(self, bundled_input):
+        assert run_assessment(bundled_input).duration_seconds < 1.0
 
-    def test_config_echo_records_renormalization(self):
-        echo = demo().result.config_echo
+    def test_config_echo_records_renormalization(self, bundled_input):
+        echo = run_assessment(bundled_input).result.config_echo
         assert echo["zeroing_mode"] == "first-column"
         assert echo["index_weight_sum"] == pytest.approx(0.9999)
         assert echo["index_weights_renormalized"] is True
@@ -60,8 +62,8 @@ class TestDemo:
 
 
 class TestRunAssessment:
-    def test_trace_off_by_default(self):
-        assert demo().result.trace is None
+    def test_trace_off_by_default(self, bundled_input):
+        assert run_assessment(bundled_input).result.trace is None
 
     def test_trace_shapes(self, bundled_input):
         report = run_assessment(bundled_input, RunConfig(emit_trace=True))
@@ -86,6 +88,30 @@ class TestRunAssessment:
         d2 = report_to_dict(run_assessment(bundled_input))
         d1.pop("duration_seconds"), d2.pop("duration_seconds")
         assert d1 == d2
+
+    def test_areas_view_matches_columns(self):
+        grid = [[1.0, 4.0], [2.0, 8.0]]
+        result = run_assessment(make_input([[[0.0, 9.0], [5.0, 1.0]], grid, grid],
+                                           names=["other", "twin1", "twin2"])).result
+        assert result.gamma_pos.dtype == result.superiority.dtype == np.float64
+        assert result.rank.dtype.kind == result.level.dtype.kind == "i"
+        assert result.tied.dtype == bool
+        assert np.all(np.diff(result.superiority) <= 0) and result.tied.any()
+        columns = zip(result.names, result.gamma_pos, result.gamma_neg, result.superiority,
+                      result.rank, result.level, result.tied)
+        assert [dataclasses.astuple(a) for a in result.areas] == list(columns)
+        assert all(type(a.level) is RiskLevel for a in result.areas)
+
+    def test_no_area_record_on_run_or_report_path(self, bundled_input, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("per-area object built")
+
+        monkeypatch.setattr(AreaAssessment, "__init__", refuse)
+        monkeypatch.setattr(RiskLevel, "label", property(refuse))
+        report = run_assessment(bundled_input)
+        assert render_text(report, 2) and render_json(report) and render_csv(report)
+        with pytest.raises(AssertionError, match="per-area object"):
+            report.result.areas
 
     def test_area_order_invariance(self, bundled_input):
         base = by_name(run_assessment(bundled_input))
