@@ -9,13 +9,7 @@ and seven-grade risk classification.
 from ._meta import VERSION as __version__
 from .incidence import ZeroingMode, incidence_family, local_volume, zeroing_image
 from .io import InputFormatError, load_input
-from .model import (
-    AssessmentInput,
-    IndexDefinition,
-    Orientation,
-    ValidationError,
-    default_wui_schema,
-)
+from .model import AssessmentInput, IndexDefinition, Orientation, ValidationError
 from .normalize import standardize_all
 from .pipeline import RunConfig, run_assessment
 from .ranking import (
@@ -40,7 +34,6 @@ __all__ = [
     "ZeroingMode",
     "apply_weights",
     "classify",
-    "default_wui_schema",
     "incidence_family",
     "load_input",
     "local_volume",

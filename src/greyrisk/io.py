@@ -12,7 +12,8 @@ json            {"indices": [{"id", "name", "orientation", "weight"}, ...],
 csv-bundle      a directory with indices.csv (id,name,orientation,weight,
                 interval_low,interval_high), periods.csv (label,weight), and
                 one plain numeric m x T grid per area in any other *.csv;
-                the area name is the file stem.
+                the area name is the file stem. indices.csv and periods.csv
+                rows are read into json entries and typed as json is.
 
 Values are laid out row = index, column = period throughout.
 """
@@ -76,7 +77,7 @@ def _parse_orientation(raw, locus: str) -> Orientation:
 
 def _number(raw, locus: str, field: str) -> float:
     try:
-        if isinstance(raw, bool):  # float() would read a JSON true as 1.0
+        if isinstance(raw, (bool, str)):  # float() would read true as 1.0 and "0.5" as 0.5
             raise TypeError(raw)
         return float(raw)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -95,8 +96,22 @@ def _require(d: dict, key: str, locus: str, kind: type = object):
     return d[key]
 
 
-def _assemble(indices, labels, time_weights, n: int, areas) -> AssessmentInput:
-    """Read n (name, m x T grid) pairs one at a time into one (n, m, T) array."""
+def _build(index_entries, period_entries, n: int, areas) -> AssessmentInput:
+    """Type the (locus, json entry) pairs of indices and periods, then read the n
+    (name, m x T grid) pairs of areas one at a time into one (n, m, T) array."""
+    indices = [
+        IndexDefinition(
+            id=str(_require(entry, "id", locus)),
+            name=str(_require(entry, "name", locus)),
+            orientation=_parse_orientation(_require(entry, "orientation", locus), locus),
+            weight=_number(_require(entry, "weight", locus), locus, "weight"),
+        )
+        for locus, entry in index_entries
+    ]
+    labels, time_weights = [], []
+    for locus, entry in period_entries:
+        labels.append(str(_require(entry, "label", locus)))
+        time_weights.append(_number(_require(entry, "weight", locus), locus, "weight"))
     m, T = len(indices), len(labels)
     values, names, errors = np.empty((0, m, T)), [], []
     for k, (name, grid) in enumerate(areas):
@@ -128,33 +143,26 @@ def _json_areas(entries: list):
             raise InputFormatError(
                 f"{locus} ('{name}'): values must be a rectangular grid of numbers"
             )
-        if bool in {type(v) for row in values for v in row}:  # np.array read them as 1.0/0.0
-            raise InputFormatError(f"{locus} ('{name}'): values must be numbers, not true/false")
+        if {bool, str} & {type(v) for row in values for v in row}:  # np.array converted them
+            raise InputFormatError(
+                f"{locus} ('{name}'): values must be numbers, not true/false or strings"
+            )
         yield name, grid
+
+
+def _located(field: str, entries: list):
+    return ((f"{field}[{k}]", entry) for k, entry in enumerate(entries))
 
 
 def input_from_dict(doc: dict) -> AssessmentInput:
     """Build a validated AssessmentInput from the json document schema."""
     if not isinstance(doc, dict):
         raise InputFormatError("top level must be an object")
-    indices = []
-    for k, entry in enumerate(_require(doc, "indices", "input", list)):
-        locus = f"indices[{k}]"
-        indices.append(
-            IndexDefinition(
-                id=str(_require(entry, "id", locus)),
-                name=str(_require(entry, "name", locus)),
-                orientation=_parse_orientation(_require(entry, "orientation", locus), locus),
-                weight=_number(_require(entry, "weight", locus), locus, "weight"),
-            )
-        )
-    labels, time_weights = [], []
-    for k, entry in enumerate(_require(doc, "periods", "input", list)):
-        locus = f"periods[{k}]"
-        labels.append(str(_require(entry, "label", locus)))
-        time_weights.append(_number(_require(entry, "weight", locus), locus, "weight"))
-    entries = _require(doc, "areas", "input", list)
-    return _assemble(indices, labels, time_weights, len(entries), _json_areas(entries))
+    indices, periods, areas = (
+        _require(doc, field, "input", list) for field in ("indices", "periods", "areas")
+    )
+    return _build(_located("indices", indices), _located("periods", periods), len(areas),
+                  _json_areas(areas))
 
 
 def _metadata(inp: AssessmentInput) -> dict:
@@ -232,52 +240,44 @@ def _csv_rows(path: Path, reader=csv.DictReader) -> list:
         raise InputFormatError(f"{path}: {exc}") from exc
 
 
+def _csv_entries(path: Path):
+    """Each row of indices.csv or periods.csv as a (locus, json entry) pair.
+
+    Cells are stripped and blank or missing ones dropped; weights and interval
+    bounds are read with float(). A blank index name takes the id, and an
+    "interval" orientation takes its bounds from interval_low and interval_high.
+    """
+    for k, row in enumerate(_csv_rows(path), start=2):
+        locus = f"{path.name} row {k}"
+        entry = {key: cell.strip() for key, cell in row.items()
+                 if isinstance(cell, str) and cell.strip()}
+        for key in ("weight", "interval_low", "interval_high"):
+            if key in entry:
+                try:
+                    entry[key] = float(entry[key])
+                except ValueError as exc:
+                    raise InputFormatError(
+                        f"{locus}: {key} must be a number, got {entry[key]!r}"
+                    ) from exc
+        entry.setdefault("name", entry.get("id"))  # the builder requires the id first
+        if entry.get("orientation") == "interval":
+            entry["orientation"] = {"interval": [_require(entry, "interval_low", locus),
+                                                 _require(entry, "interval_high", locus)]}
+        yield locus, entry
+
+
 def _load_csv_bundle(root: Path) -> AssessmentInput:
     idx_path, per_path = root / "indices.csv", root / "periods.csv"
     for required in (idx_path, per_path):
         if not required.is_file():
             raise InputFormatError(f"csv bundle {root}: missing {required.name}")
-
-    indices = []
-    for k, row in enumerate(_csv_rows(idx_path)):
-        locus = f"{idx_path.name} row {k + 2}"
-        try:
-            kind = (row.get("orientation") or "").strip()
-            if kind == "interval":
-                orientation = Orientation.interval(
-                    float(row["interval_low"]), float(row["interval_high"])
-                )
-            else:
-                orientation = _parse_orientation(kind, locus)
-            indices.append(
-                IndexDefinition(
-                    id=row["id"].strip(),
-                    name=(row.get("name") or row["id"]).strip(),
-                    orientation=orientation,
-                    weight=float(row["weight"]),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, InputFormatError):
-                raise
-            raise InputFormatError(f"{locus}: {exc}") from exc
-
-    labels, time_weights = [], []
-    for k, row in enumerate(_csv_rows(per_path)):
-        locus = f"{per_path.name} row {k + 2}"
-        try:
-            labels.append(row["label"].strip())
-            time_weights.append(float(row["weight"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputFormatError(f"{locus}: {exc}") from exc
-
     area_files = sorted(
         p for p in root.glob("*.csv") if p.name not in ("indices.csv", "periods.csv")
     )
     if not area_files:
         raise InputFormatError(f"csv bundle {root}: no area files found")
-    return _assemble(indices, labels, time_weights, len(area_files),
-                     ((p.stem, _csv_grid(p)) for p in area_files))
+    return _build(_csv_entries(idx_path), _csv_entries(per_path), len(area_files),
+                  ((p.stem, _csv_grid(p)) for p in area_files))
 
 
 def load_input(path, fmt: str | None = None) -> AssessmentInput:

@@ -235,34 +235,3 @@ def validate_input(inp: AssessmentInput) -> AssessmentInput:
         raise ValidationError(errors)
     return inp
 
-
-# Canonical index system for the bundled wildland-urban interface fire case:
-# (id, display name, weight). All indices are scored so that a larger value
-# means higher risk, hence benefit orientation throughout.
-_WUI_INDICES: tuple[tuple[str, str, float], ...] = (
-    ("fuel_load", "Fuel Load", 0.1458),
-    ("moisture_content", "Moisture Content of Combustible Materials", 0.1303),
-    ("spatial_distribution", "Spatial Distribution of Combustible Materials", 0.1114),
-    ("agri_fire_spread",
-     "Uncontrolled Fire Spread in Agricultural, Forestry, and Livestock Production Regions",
-     0.0666),
-    ("domestic_fire_use", "Domestic Fire Use in Daily Life", 0.0612),
-    ("population_density", "Population Density Distribution", 0.0585),
-    ("road_density", "Road Network Density", 0.0559),
-    ("precipitation", "Precipitation Levels", 0.0650),
-    ("humidity", "Relative Humidity", 0.0542),
-    ("air_temperature", "Air Temperature", 0.0451),
-    ("wind_velocity", "Wind Velocity", 0.0376),
-    ("slope_gradient", "Slope Gradient", 0.0450),
-    ("slope_aspect", "Slope Aspect", 0.0430),
-    ("topographic_position", "Topographic Position", 0.0411),
-    ("elevation", "Elevation Above Sea Level", 0.0392),
-)
-
-
-def default_wui_schema() -> list[IndexDefinition]:
-    """The 15-index wildland-urban interface fire risk schema with its weights."""
-    return [
-        IndexDefinition(id=i, name=name, orientation=Orientation.benefit(), weight=w)
-        for i, name, w in _WUI_INDICES
-    ]

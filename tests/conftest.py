@@ -44,13 +44,16 @@ def standardized(inp):
 
 
 def write_bundle(root, case_dict):
-    """Write a json-schema document with no interval index as a csv bundle under ``root``."""
+    """Write a json-schema document as a csv bundle under ``root``."""
     root.mkdir(exist_ok=True)
     with open(root / "indices.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["id", "name", "orientation", "weight", "interval_low", "interval_high"])
         for d in case_dict["indices"]:
-            w.writerow([d["id"], d["name"], d["orientation"], d["weight"], "", ""])
+            kind, bounds = d["orientation"], ("", "")
+            if isinstance(kind, dict):
+                kind, bounds = "interval", kind["interval"]
+            w.writerow([d["id"], d["name"], kind, d["weight"], *bounds])
     with open(root / "periods.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["label", "weight"])

@@ -168,6 +168,23 @@ def test_unencodable_name_exits_2(tmp_path, capsys, field, options):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("name, text", [
+    ("indices.csv", "orientation,weight,id,name\nbenefit,0.5\n"),
+    ("periods.csv", "weight,label\n0.5\n"),
+], ids=["index-row", "period-row"])
+def test_short_bundle_row_exits_2(tmp_path, name, text):
+    root = tmp_path / "bundle"
+    write_bundle(root, json.loads(input_to_json(load_bundled_case())))
+    (root / name).write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "greyrisk.cli", "assess", "--input", str(root)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: {name} row 2: missing required field")
+    assert "Traceback" not in proc.stderr
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     assert main(["assess", "--input", str(tmp_path / "absent.json")]) == 2
 

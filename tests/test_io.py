@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import os
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -13,7 +14,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from greyrisk import (
+    AssessmentInput,
+    IndexDefinition,
     InputFormatError,
+    Orientation,
     RunConfig,
     ValidationError,
     ZeroingMode,
@@ -32,6 +36,7 @@ from greyrisk.io import (
     report_to_dict,
     write_trace,
 )
+from greyrisk.model import OrientationKind
 
 from conftest import make_input, write_bundle
 
@@ -126,9 +131,16 @@ class TestLoadJson:
         (lambda doc: doc["periods"][1].update(weight=False), r"periods\[1\]: weight"),
         (lambda doc: doc["indices"][0].update(orientation={"interval": [0, True]}),
          r"indices\[0\]: interval high"),
+        (lambda doc: doc["areas"][0]["values"][0].__setitem__(0, "0.5"),
+         r"areas\[0\] \('area1'\): values must be numbers, not true/false or strings"),
+        (lambda doc: doc["indices"][0].update(weight="0.1458"),
+         r"indices\[0\]: weight must be a number, got '0.1458'"),
+        (lambda doc: doc["periods"][1].update(weight="0.2"),
+         r"periods\[1\]: weight must be a number, got '0.2'"),
     ], ids=["null-weight", "text-weight", "list-period-weight", "null-interval-low",
             "text-interval-high", "number-index", "string-period", "list-area",
-            "boolean-cell", "boolean-weight", "boolean-period-weight", "boolean-interval-high"])
+            "boolean-cell", "boolean-weight", "boolean-period-weight", "boolean-interval-high",
+            "string-cell", "string-weight", "string-period-weight"])
     def test_malformed_entry_located(self, tmp_path, case_dict, edit, locus):
         edit(case_dict)
         path = tmp_path / "bad.json"
@@ -158,7 +170,51 @@ class TestLoadJson:
             load_input(tmp_path / "x.json", "yaml")
 
 
+@st.composite
+def small_inputs(draw):
+    """Valid inputs of 2-3 areas, 2-4 indices of any orientation and 2-3 periods.
+
+    Some index names equal their id, which a csv bundle may leave blank.
+    """
+    n, m, T = draw(st.integers(2, 3)), draw(st.integers(2, 4)), draw(st.integers(2, 3))
+    number = st.floats(-1e3, 1e3)
+    text = st.text(alphabet='ab ,"', min_size=1, max_size=5).map(str.strip).filter(bool)
+
+    def unit_weights(k):
+        w = draw(st.lists(st.floats(0.1, 1.0), min_size=k, max_size=k))
+        return [x / sum(w) for x in w]
+
+    indices = []
+    for j, w in enumerate(unit_weights(m)):
+        kind = draw(st.sampled_from(list(OrientationKind)))
+        if kind is OrientationKind.INTERVAL:
+            orientation = Orientation.interval(*sorted(draw(st.tuples(number, number))))
+        else:
+            orientation = Orientation(kind)
+        name = draw(st.one_of(st.just(f"e{j}"), text))
+        indices.append(IndexDefinition(f"e{j}", name, orientation, w))
+    values = draw(st.lists(number, min_size=n * m * T, max_size=n * m * T))
+    return AssessmentInput(indices, [draw(text) for _ in range(T)], unit_weights(T),
+                           [f"a{k}" for k in range(n)], np.reshape(values, (n, m, T)))
+
+
 class TestRoundTrip:
+    @settings(max_examples=40, deadline=None)
+    @given(inp=small_inputs())
+    def test_json_and_csv_bundle_load_equal(self, inp):
+        doc = input_to_dict(inp)
+        bundle_doc = copy.deepcopy(doc)
+        for d in bundle_doc["indices"]:
+            if d["name"] == d["id"]:
+                d["name"] = ""  # a blank name cell takes the id
+        with tempfile.TemporaryDirectory() as tmp:
+            path, root = Path(tmp) / "case.json", Path(tmp) / "bundle"
+            path.write_text(input_to_json(inp))
+            write_bundle(root, bundle_doc)
+            for loaded in (load_input(path), load_input(root)):
+                assert input_to_dict(loaded) == doc
+                assert compute_fingerprint(loaded) == compute_fingerprint(inp)
+
     def test_json_round_trip_is_lossless(self, bundled_input, tmp_path):
         path = tmp_path / "case.json"
         path.write_text(input_to_json(bundled_input))
@@ -229,6 +285,23 @@ class TestCsvBundle:
         write_bundle(root, case_dict)
         (root / "area1.csv").write_text("1,2,3\n4,5\n")
         with pytest.raises(InputFormatError, match="differing widths"):
+            load_input(root)
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("indices.csv", "orientation,weight,id,name\nbenefit,0.5\n",
+         "indices.csv row 2: missing required field 'id'"),
+        ("periods.csv", "weight,label\n0.5\n",
+         "periods.csv row 2: missing required field 'label'"),
+        ("indices.csv", "id,name,orientation,weight\ne1,,benefit,heavy\n",
+         "indices.csv row 2: weight must be a number, got 'heavy'"),
+        ("indices.csv", "id,name,orientation,weight\ne1,,benefit,1\ne2,,interval,0.5\n",
+         "indices.csv row 3: missing required field 'interval_low'"),
+    ], ids=["short-index-row", "short-period-row", "text-weight", "interval-without-bounds"])
+    def test_malformed_row_located(self, tmp_path, case_dict, name, text, message):
+        root = tmp_path / "bundle"
+        write_bundle(root, case_dict)
+        (root / name).write_text(text)
+        with pytest.raises(InputFormatError, match=f"^{message}$"):
             load_input(root)
 
     def test_bad_number_reports_row(self, tmp_path, case_dict):

@@ -8,7 +8,6 @@ from greyrisk import (
     IndexDefinition,
     Orientation,
     ValidationError,
-    default_wui_schema,
     load_input,
     run_assessment,
 )
@@ -184,26 +183,28 @@ def test_all_violations_reported_together():
 
 
 class TestDefaultSchema:
-    def test_fifteen_benefit_indices(self):
-        schema = default_wui_schema()
+    """The bundled case's index system: 15 benefit indices with their weights."""
+
+    def test_fifteen_benefit_indices(self, bundled_input):
+        schema = bundled_input.indices
         assert len(schema) == 15
         assert all(d.orientation.kind is OrientationKind.BENEFIT for d in schema)
         assert len({d.id for d in schema}) == 15
 
-    def test_weights(self):
-        schema = default_wui_schema()
+    def test_weights(self, bundled_input):
+        schema = bundled_input.indices
         assert schema[0].weight == 0.1458
         assert abs(sum(d.weight for d in schema) - 0.9999) < 1e-12
 
-    def test_eighth_index(self):
-        d = default_wui_schema()[7]
+    def test_eighth_index(self, bundled_input):
+        d = bundled_input.indices[7]
         assert d.name == "Precipitation Levels"
         assert d.weight == 0.0650
 
     def test_embeds_into_valid_input(self, bundled_input):
         rng = np.random.default_rng(42)
         inp = AssessmentInput(
-            indices=tuple(default_wui_schema()),
+            indices=bundled_input.indices,
             periods=bundled_input.periods,
             time_weights=bundled_input.time_weights,
             area_names=tuple(f"random{k}" for k in range(3)),
