@@ -20,10 +20,15 @@ subtractive zeroing modes) under a common translation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+
+# cells per block of areas: the stages that need a temporary build it one block
+# at a time, so no temporary as large as the area array exists
+BLOCK_CELLS = 1 << 15
 
 
 class ZeroingMode(str, Enum):
@@ -61,18 +66,30 @@ class IncidenceFamilyResult:
         return grey_coefficients(self.volume_diffs, self.d_max, self.d_min)
 
 
-def zeroing_image(c: np.ndarray, mode: ZeroingMode = ZeroingMode.FIRST_COLUMN) -> np.ndarray:
+def _blocks(n: int, cells: int):
+    """Slices of consecutive areas, each of at most BLOCK_CELLS cells and one area at least."""
+    step = max(1, BLOCK_CELLS // cells)
+    return (slice(k, k + step) for k in range(0, n, step))
+
+
+def zeroing_image(
+    c: np.ndarray, mode: ZeroingMode = ZeroingMode.FIRST_COLUMN, out: np.ndarray | None = None
+) -> np.ndarray:
     """Re-base matrices stored in the last two axes (m, T) of ``c``.
 
-    NONE returns ``c`` itself rather than a copy.
+    The result goes to ``out`` when given (``c`` itself is allowed), else to a
+    new array; without ``out``, NONE returns ``c`` itself rather than a copy.
     """
     c = np.asarray(c, dtype=float)
     mode = ZeroingMode(mode)
-    if mode is ZeroingMode.FIRST_COLUMN:
-        return c - c[..., :1]
-    if mode is ZeroingMode.FIRST_ELEMENT:
-        return c - c[..., :1, :1]
-    return c
+    if mode is ZeroingMode.NONE:
+        if out is None:
+            return c
+        np.copyto(out, c)
+        return out
+    base = c[..., :1] if mode is ZeroingMode.FIRST_COLUMN else c[..., :1, :1]
+    # subtract a copy of the base: with out overlapping c, numpy would copy all of c
+    return np.subtract(c, base.copy(), out=out)
 
 
 def local_volume(ctilde: np.ndarray) -> np.ndarray:
@@ -85,8 +102,16 @@ def local_volume(ctilde: np.ndarray) -> np.ndarray:
     z = np.asarray(ctilde, dtype=float)
     if z.ndim < 2 or z.shape[-2] < 2 or z.shape[-1] < 2:
         raise ValueError(f"local volume needs at least a 2x2 matrix, got shape {z.shape}")
-    return ((z[..., :-1, :-1] + z[..., 1:, 1:]) / 6.0
-            + (z[..., 1:, :-1] + z[..., :-1, 1:]) / 3.0)
+    # (z00 + z11) / 6 + (z10 + z01) / 3, the second term built one block of areas at a time
+    vol = z[..., :-1, :-1] + z[..., 1:, 1:]
+    vol /= 6.0
+    stacked, stacked_vol = (z, vol) if z.ndim > 2 else (z[None], vol[None])
+    for block in _blocks(len(stacked), math.prod(stacked.shape[1:])):
+        anti = stacked[block, ..., 1:, :-1] + stacked[block, ..., :-1, 1:]
+        anti /= 3.0
+        acc = stacked_vol[block]  # a view, so += writes into vol
+        acc += anti
+    return vol
 
 
 def grey_coefficients(diffs: np.ndarray, d_max: float, d_min: float) -> np.ndarray:
@@ -114,7 +139,10 @@ def incidence_family(reference_volume: np.ndarray, volumes: np.ndarray) -> Incid
         raise ValueError(f"shape mismatch: volumes {vols.shape} vs reference {ref.shape}")
     if len(vols) == 0:
         raise ValueError("at least one area required")
-    diffs = np.abs(vols - ref)
+    diffs = vols - ref
+    np.abs(diffs, out=diffs)
     d_max, d_min = float(diffs.max()), float(diffs.min())
-    degrees = grey_coefficients(diffs, d_max, d_min).mean(axis=(-2, -1))
+    degrees = np.empty(len(diffs))
+    for block in _blocks(len(diffs), ref.size):
+        degrees[block] = grey_coefficients(diffs[block], d_max, d_min).mean(axis=(-2, -1))
     return IncidenceFamilyResult(volume_diffs=diffs, d_max=d_max, d_min=d_min, degrees=degrees)

@@ -37,6 +37,7 @@ from .model import (
     OrientationKind,
     StageMatrices,
     ValidationError,
+    grid_errors,
 )
 from .ranking import RiskLevel
 
@@ -113,7 +114,10 @@ def _build(index_entries, period_entries, n: int, areas) -> AssessmentInput:
         labels.append(str(_require(entry, "label", locus)))
         time_weights.append(_number(_require(entry, "weight", locus), locus, "weight"))
     m, T = len(indices), len(labels)
-    values, names, errors = np.empty((0, m, T)), [], []
+    errors = grid_errors(m, T)
+    if errors:  # no area grid can be read against a declared shape this small
+        raise ValidationError(errors)
+    values, names = np.empty((0, m, T)), []
     for k, (name, grid) in enumerate(areas):
         names.append(name)
         if grid.shape != (m, T):
@@ -219,7 +223,7 @@ def _load_json(path: Path) -> AssessmentInput:
 
 def _csv_grid(path: Path) -> np.ndarray:
     rows = []
-    for line, row in enumerate(_csv_rows(path, csv.reader), start=1):
+    for line, row in enumerate(_csv_rows(path), start=1):
         if not row:
             continue
         try:
@@ -232,10 +236,10 @@ def _csv_grid(path: Path) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-def _csv_rows(path: Path, reader=csv.DictReader) -> list:
+def _csv_rows(path: Path) -> list:
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            return list(reader(fh))
+            return list(csv.reader(fh))
     except UnicodeDecodeError as exc:
         raise InputFormatError(f"{path}: {exc}") from exc
 
@@ -243,14 +247,23 @@ def _csv_rows(path: Path, reader=csv.DictReader) -> list:
 def _csv_entries(path: Path):
     """Each row of indices.csv or periods.csv as a (locus, json entry) pair.
 
-    Cells are stripped and blank or missing ones dropped; weights and interval
-    bounds are read with float(). A blank index name takes the id, and an
-    "interval" orientation takes its bounds from interval_low and interval_high.
+    The first non-blank row is the header, and rows are numbered by line as in
+    the area files. Cells are stripped and blank or missing ones dropped, but a
+    non-blank cell beyond the header is an error; weights and interval bounds
+    are read with float(). A blank index name takes the id, and an "interval"
+    orientation takes its bounds from interval_low and interval_high.
     """
-    for k, row in enumerate(_csv_rows(path), start=2):
+    header = None
+    for k, row in enumerate(_csv_rows(path), start=1):
+        if not row:  # a blank line
+            continue
+        if header is None:
+            header = row
+            continue
         locus = f"{path.name} row {k}"
-        entry = {key: cell.strip() for key, cell in row.items()
-                 if isinstance(cell, str) and cell.strip()}
+        if any(cell.strip() for cell in row[len(header):]):
+            raise InputFormatError(f"{locus}: {len(row)} cells, header has {len(header)}")
+        entry = {key: cell.strip() for key, cell in zip(header, row) if cell.strip()}
         for key in ("weight", "interval_low", "interval_high"):
             if key in entry:
                 try:
@@ -284,7 +297,8 @@ def load_input(path, fmt: str | None = None) -> AssessmentInput:
     """Parse a dataset file (json) or directory (csv-bundle) into a validated input.
 
     Parse problems, text that is not UTF-8 included, raise InputFormatError with a
-    file/field locus; ValidationError lists every wrong-shaped area grid, else every violation.
+    file/field locus; ValidationError names an m or T below 2, else lists every
+    wrong-shaped area grid, else every violation.
     """
     path = Path(path)
     if fmt is None:

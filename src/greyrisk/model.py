@@ -163,18 +163,23 @@ def _check_ranges(
         )
 
 
+def grid_errors(m: int, T: int) -> list[str]:
+    """Violations of the smallest m x T grid an area can be scored on."""
+    errors = []
+    if m < 2:
+        errors.append(f"m >= 2 required (local volume needs a 2x2 grid), got m={m}")
+    if T < 2:
+        errors.append(f"T >= 2 required (local volume needs a 2x2 grid), got T={T}")
+    return errors
+
+
 def validate_input(inp: AssessmentInput) -> AssessmentInput:
     """Check every input invariant; raise ValidationError listing all violations.
 
     Runs when an AssessmentInput is built; returns the input unchanged when valid.
     """
-    errors: list[str] = []
     m, T, n = len(inp.indices), len(inp.periods), len(inp.area_names)
-
-    if m < 2:
-        errors.append(f"m >= 2 required (local volume needs a 2x2 grid), got m={m}")
-    if T < 2:
-        errors.append(f"T >= 2 required (local volume needs a 2x2 grid), got T={T}")
+    errors = grid_errors(m, T)
     if n < 2:
         errors.append(f"n >= 2 required (ideal matrices need two areas), got n={n}")
 

@@ -121,17 +121,22 @@ def run_assessment(inp: AssessmentInput, config: RunConfig | None = None) -> Ass
 
     mode = config.zeroing_mode
     b = standardize_all(inp.values.copy(), inp.indices)
-    c = apply_weights(b, lam, theta)
+    # an untraced run weights and re-bases in b itself; a traced one keeps each stage
+    out = None if config.emit_trace else b
+    c = apply_weights(b, lam, theta, out=out)
     c_pos, c_neg = positive_ideal(c), negative_ideal(c)
-    vol = local_volume(zeroing_image(c, mode))
+    vol = local_volume(zeroing_image(c, mode, out=out))
     if not config.emit_trace:
-        del b, c  # only the trace reads them; free them before the incidence stage
+        del b, c, out  # untraced, all three name the working array: free it before incidence
 
     vol_pos = local_volume(zeroing_image(c_pos, mode))
     vol_neg = local_volume(zeroing_image(c_neg, mode))
     fam_pos = incidence_family(vol_pos, vol)
+    gp = fam_pos.degrees
+    if not config.emit_trace:
+        del fam_pos  # only the trace reads D+; free it before D- is built
     fam_neg = incidence_family(vol_neg, vol)
-    gp, gn = fam_pos.degrees, fam_neg.degrees
+    gn = fam_neg.degrees
 
     try:
         s = superiority_degree(gp, gn)

@@ -12,9 +12,13 @@ import numpy as np
 
 
 def apply_weights(
-    b: np.ndarray, index_weights: np.ndarray, time_weights: np.ndarray
+    b: np.ndarray, index_weights: np.ndarray, time_weights: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Weight standardized scores whose last two axes are (m, T), e.g. (n, m, T)."""
+    """Weight standardized scores whose last two axes are (m, T), e.g. (n, m, T).
+
+    The result goes to ``out`` when given (``b`` itself is allowed), else to a new array.
+    """
     b = np.asarray(b, dtype=float)
     lam = np.asarray(index_weights, dtype=float)
     theta = np.asarray(time_weights, dtype=float)
@@ -23,7 +27,8 @@ def apply_weights(
             f"dimension mismatch: scores {b.shape} vs {lam.size} index weights "
             f"and {theta.size} time weights"
         )
-    return lam[:, None] * b * theta
+    c = np.multiply(lam[:, None], b, out=out)
+    return np.multiply(c, theta, out=c)
 
 
 def positive_ideal(c: np.ndarray) -> np.ndarray:

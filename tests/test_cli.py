@@ -185,6 +185,33 @@ def test_short_bundle_row_exits_2(tmp_path, name, text):
     assert "Traceback" not in proc.stderr
 
 
+def test_long_bundle_row_exits_2(tmp_path):
+    root = tmp_path / "bundle"
+    write_bundle(root, json.loads(input_to_json(load_bundled_case())))
+    (root / "periods.csv").write_text("label,weight\nt1,0.21,9\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "greyrisk.cli", "validate", "--input", str(root)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: periods.csv row 2: 3 cells, header has 2\n"
+
+
+@pytest.mark.parametrize("bundle", [False, True], ids=["json", "csv-bundle"])
+def test_empty_periods_exit_1_naming_t(tmp_path, capsys, bundle):
+    doc = json.loads(input_to_json(load_bundled_case()))
+    doc["periods"] = []
+    path = tmp_path / "case.json"
+    if bundle:
+        write_bundle(path, doc)
+    else:
+        path.write_text(json.dumps(doc))
+    assert main(["assess", "--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation failed:\n  - T >= 2 required")
+    assert "value matrix" not in err
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     assert main(["assess", "--input", str(tmp_path / "absent.json")]) == 2
 

@@ -1,10 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from greyrisk import ZeroingMode, incidence_family, local_volume, zeroing_image
+from greyrisk import ZeroingMode, incidence, incidence_family, local_volume, zeroing_image
+from greyrisk.incidence import grey_coefficients
 
 
 def family(reference, factors, mode=ZeroingMode.FIRST_COLUMN):
@@ -210,6 +213,70 @@ def test_deterministic(mats, mode):
     np.testing.assert_array_equal(first.degrees, second.degrees)
     assert first.d_max == second.d_max and first.d_min == second.d_min
     np.testing.assert_array_equal(first.coefficients, second.coefficients)
+
+
+# --- block-wise and in-place kernels against their one-shot forms ----------
+
+def one_shot_volume(z):
+    return ((z[..., :-1, :-1] + z[..., 1:, 1:]) / 6.0
+            + (z[..., 1:, :-1] + z[..., :-1, 1:]) / 3.0)
+
+
+def one_shot_degrees(ref, vols):
+    diffs = np.abs(vols - ref)
+    return grey_coefficients(diffs, diffs.max(), diffs.min()).mean(axis=(-2, -1))
+
+
+stacked_matrices = st.tuples(st.integers(1, 12), st.integers(2, 5), st.integers(2, 5)).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=st.floats(-50, 50)))
+
+
+@given(stacked_matrices, mode_strategy)
+@settings(max_examples=40, deadline=None)
+def test_zeroing_in_place_matches_new_array(c, mode):
+    expected = {ZeroingMode.FIRST_COLUMN: lambda: c - c[..., :1],
+                ZeroingMode.FIRST_ELEMENT: lambda: c - c[..., :1, :1],
+                ZeroingMode.NONE: lambda: c}[mode]()
+    assert zeroing_image(c, mode).tobytes() == expected.tobytes()
+    work = c.copy()
+    assert zeroing_image(work, mode, out=work) is work
+    assert work.tobytes() == expected.tobytes()
+
+
+@given(stacked_matrices, st.integers(1, 40))
+@settings(max_examples=60, deadline=None)
+def test_blockwise_volume_matches_one_shot(z, block_cells):
+    with mock.patch.object(incidence, "BLOCK_CELLS", block_cells):
+        got = local_volume(z)
+        single = local_volume(z[0])
+    assert got.tobytes() == one_shot_volume(z).tobytes()
+    assert single.tobytes() == one_shot_volume(z[0]).tobytes()
+
+
+@given(stacked_matrices, st.integers(1, 40),
+       st.sampled_from(["spread", "equal", "zero"]))
+@settings(max_examples=80, deadline=None)
+def test_blockwise_degrees_match_one_shot_mean(vols, block_cells, kind):
+    ref = vols[0] / 3.0
+    if kind == "equal":  # every difference is 2.5: d_max == d_min != 0
+        ref = np.zeros_like(ref)
+        vols = np.where(vols < 0.0, -2.5, 2.5)
+    elif kind == "zero":  # every area matches the reference: d_max == d_min == 0
+        vols = np.broadcast_to(ref, vols.shape).copy()
+    with mock.patch.object(incidence, "BLOCK_CELLS", block_cells):
+        res = incidence_family(ref, vols)
+    assert res.degrees.tobytes() == one_shot_degrees(ref, vols).tobytes()
+    assert res.volume_diffs.tobytes() == np.abs(vols - ref).tobytes()
+
+
+def test_blockwise_degrees_with_a_partial_last_block():
+    rng = np.random.default_rng(7)
+    step = incidence.BLOCK_CELLS // (6 * 8)
+    vols = rng.normal(size=(2 * step + 3, 6, 8))
+    assert incidence_family(vols[1], vols).degrees.tobytes() == \
+        one_shot_degrees(vols[1], vols).tobytes()
+    assert local_volume(vols).tobytes() == one_shot_volume(vols).tobytes()
+    assert local_volume(vols[:0]).shape == (0, 5, 7)
 
 
 # --- numerical oracle -----------------------------------------------------

@@ -1,6 +1,7 @@
 import copy
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -60,6 +61,23 @@ class TestLoadJson:
         with pytest.raises(ValidationError) as exc:
             load_input(path)
         assert any("area2" in e and "15x6" in e for e in exc.value.errors)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv-bundle"])
+    @pytest.mark.parametrize("field, keep, message", [
+        ("periods", 0, "T >= 2 required (local volume needs a 2x2 grid), got T=0"),
+        ("indices", 1, "m >= 2 required (local volume needs a 2x2 grid), got m=1"),
+    ], ids=["no-periods", "one-index"])
+    def test_too_few_periods_or_indices_lead_the_errors(self, tmp_path, case_dict, fmt,
+                                                        field, keep, message):
+        case_dict[field] = case_dict[field][:keep]
+        path = tmp_path / "case.json"
+        if fmt == "json":
+            path.write_text(json.dumps(case_dict))
+        else:
+            write_bundle(path, case_dict)
+        with pytest.raises(ValidationError) as exc:
+            load_input(path, fmt)
+        assert exc.value.errors == [message]
 
     def test_wrong_shapes_allocate_no_value_array(self):
         # 400 indices x 400 periods x 50 areas would be a 64 MB value array
@@ -296,13 +314,33 @@ class TestCsvBundle:
          "indices.csv row 2: weight must be a number, got 'heavy'"),
         ("indices.csv", "id,name,orientation,weight\ne1,,benefit,1\ne2,,interval,0.5\n",
          "indices.csv row 3: missing required field 'interval_low'"),
-    ], ids=["short-index-row", "short-period-row", "text-weight", "interval-without-bounds"])
+        ("periods.csv", "label,weight\nt1,0.21,9\n", "periods.csv row 2: 3 cells, header has 2"),
+        ("indices.csv", "id,name,orientation,weight\ne1,,benefit,0.5,x,y\n",
+         "indices.csv row 2: 6 cells, header has 4"),
+        ("periods.csv", "label,weight,weight\nt1,0.21,0.21,9\n",
+         "periods.csv row 2: 4 cells, header has 3"),
+        ("periods.csv", "label,weight\nt1,0.21,\nt2,heavy,\n",
+         "periods.csv row 3: weight must be a number, got 'heavy'"),
+        ("periods.csv", "label,weight\n\nt1,0.21\nt2,heavy\n",
+         "periods.csv row 4: weight must be a number, got 'heavy'"),
+    ], ids=["short-index-row", "short-period-row", "text-weight", "interval-without-bounds",
+            "long-period-row", "long-index-row", "long-row-repeated-column",
+            "blank-cell-beyond-header", "blank-line"])
     def test_malformed_row_located(self, tmp_path, case_dict, name, text, message):
         root = tmp_path / "bundle"
         write_bundle(root, case_dict)
         (root / name).write_text(text)
         with pytest.raises(InputFormatError, match=f"^{message}$"):
             load_input(root)
+
+    def test_blank_cells_beyond_header_are_dropped(self, tmp_path, case_dict):
+        root = tmp_path / "bundle"
+        write_bundle(root, case_dict)
+        expected = compute_fingerprint(load_input(root))
+        for name in ("indices.csv", "periods.csv"):
+            lines = (root / name).read_text().splitlines()
+            (root / name).write_text("".join(f"{line}, \n" for line in lines))
+        assert compute_fingerprint(load_input(root)) == expected
 
     def test_bad_number_reports_row(self, tmp_path, case_dict):
         root = tmp_path / "bundle"
@@ -425,3 +463,11 @@ class TestTrace:
             rows = list(csv.reader(fh))
         parsed = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
         np.testing.assert_array_equal(parsed, report.result.trace.standardized[0])
+
+    @pytest.mark.parametrize("mode", list(ZeroingMode), ids=lambda m: m.value)
+    def test_bundled_trace_matches_pinned_digests(self, bundled_input, tmp_path, mode):
+        """sha256 of each of the bundled case's 22 trace files, pinned per zeroing mode."""
+        pinned = json.loads((GOLDEN / "trace-sha256.json").read_text())[mode.value]
+        report = run_assessment(bundled_input, RunConfig(zeroing_mode=mode, emit_trace=True))
+        written = write_trace(report.result.trace, tmp_path)
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written} == pinned

@@ -1,5 +1,6 @@
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -263,6 +264,44 @@ def test_matches_per_area_oracle(inp, mode):
     for twins in copies.values():
         assert len({(a.gamma_pos, a.gamma_neg, a.superiority, a.rank) for a in twins}) == 1
         assert len(twins) == 1 or all(a.tied for a in twins)
+
+
+RESULT_COLUMNS = ("gamma_pos", "gamma_neg", "superiority", "rank", "tied", "level")
+
+
+@given(assessment_inputs(), st.sampled_from(list(ZeroingMode)))
+@settings(max_examples=100, deadline=None)
+def test_traced_run_gives_the_same_bits(inp, mode):
+    """The untraced run reuses one working array; the traced one keeps every stage."""
+    runs = []
+    for emit_trace in (False, True):
+        try:
+            runs.append(run_assessment(inp, RunConfig(zeroing_mode=mode, emit_trace=emit_trace)))
+        except DegenerateAssessmentError as exc:
+            runs.append(str(exc))
+    lean, traced = runs
+    if isinstance(lean, str):
+        assert lean == traced
+        return
+    assert lean.result.names == traced.result.names
+    for key in RESULT_COLUMNS:
+        got, expected = getattr(lean.result, key), getattr(traced.result, key)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), key
+
+
+@pytest.mark.parametrize("n, m, T", [(2000, 15, 6), (500, 50, 24)])
+def test_untraced_run_peak_stays_under_two_and_a_half_inputs(n, m, T):
+    rng = np.random.default_rng(1)
+    kinds = KINDS + (Orientation.interval(0.25, 0.75),)
+    inp = make_input(rng.random((n, m, T)), orientations=[kinds[j % 4] for j in range(m)])
+    run_assessment(inp)  # a first call may import modules, which tracemalloc would count
+    tracemalloc.start()
+    try:
+        run_assessment(inp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * inp.values.nbytes, peak / inp.values.nbytes
 
 
 @pytest.mark.parametrize("h", [3.0, 5.0, 6.0, 7.0])

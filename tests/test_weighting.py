@@ -33,6 +33,19 @@ class TestApplyWeights:
             np.testing.assert_array_equal(ck, apply_weights(bk, [0.3, 0.7], [0.4, 0.6]))
 
 
+@given(arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 5), st.integers(1, 5)),
+              elements=st.floats(-1e3, 1e3)))
+@settings(max_examples=40, deadline=None)
+def test_weighting_in_place_keeps_the_product_order(b):
+    n, m, t = b.shape
+    lam, theta = np.linspace(0.1, 0.9, m), np.linspace(0.3, 0.7, t)
+    expected = (lam[:, None] * b) * theta
+    assert apply_weights(b, lam, theta).tobytes() == expected.tobytes()
+    work = b.copy()
+    assert apply_weights(work, lam, theta, out=work) is work
+    assert work.tobytes() == expected.tobytes()
+
+
 FIXTURE = [
     np.array([[1.0, 2.0], [3.0, 4.0]]),
     np.array([[2.0, 1.0], [4.0, 3.0]]),
