@@ -25,11 +25,13 @@ import hashlib
 import json
 import re
 import sys
+import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .incidence import grey_coefficients
 from .model import (
     AssessmentInput,
     IndexDefinition,
@@ -222,7 +224,24 @@ def _load_json(path: Path) -> AssessmentInput:
 
 
 def _csv_grid(path: Path) -> np.ndarray:
-    rows = []
+    """An area file as a 2-d float array, parsed in C by ``np.loadtxt``.
+
+    A file that loadtxt refuses or finds empty is read again by
+    ``_csv_grid_cells``, which alone decides whether such a file is accepted
+    and, if not, locates the error.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            grid = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
+    except ValueError:  # also UnicodeDecodeError
+        return _csv_grid_cells(path)
+    return grid if grid.size else _csv_grid_cells(path)
+
+
+def _csv_grid_cells(path: Path) -> np.ndarray:
+    """An area file read cell by cell with float(); rows are numbered by line."""
+    rows, first, ragged = [], None, None
     for line, row in enumerate(_csv_rows(path), start=1):
         if not row:
             continue
@@ -230,9 +249,13 @@ def _csv_grid(path: Path) -> np.ndarray:
             rows.append([float(v) for v in row])
         except ValueError as exc:
             raise InputFormatError(f"{path.name} row {line}: {exc}") from exc
-    widths = {len(r) for r in rows}
-    if len(widths) > 1:
-        raise InputFormatError(f"{path.name}: rows have differing widths {sorted(widths)}")
+        if first is None:
+            first = (line, len(row))
+        elif ragged is None and len(row) != first[1]:
+            ragged = (f"{path.name} row {line}: rows have differing widths, "
+                      f"{len(row)} cells where row {first[0]} has {first[1]}")
+    if ragged:
+        raise InputFormatError(ragged)
     return np.array(rows, dtype=float)
 
 
@@ -285,7 +308,8 @@ def _load_csv_bundle(root: Path) -> AssessmentInput:
         if not required.is_file():
             raise InputFormatError(f"csv bundle {root}: missing {required.name}")
     area_files = sorted(
-        p for p in root.glob("*.csv") if p.name not in ("indices.csv", "periods.csv")
+        (p for p in root.glob("*.csv") if p.name not in ("indices.csv", "periods.csv")),
+        key=lambda p: p.name,
     )
     if not area_files:
         raise InputFormatError(f"csv bundle {root}: no area files found")
@@ -403,7 +427,7 @@ def write_trace(trace: StageMatrices, out_dir) -> list[Path]:
     columns are labeled by the window's upper-left index id and period.
     Writes four shared files (both ideal matrices and their volumes) and six
     files per area (standardized, weighted, both volume differences, both
-    coefficient matrices).
+    coefficient matrices, rescaled from the differences one area at a time).
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -433,6 +457,8 @@ def write_trace(trace: StageMatrices, out_dir) -> list[Path]:
         emit(f"{slug}_weighted", trace.weighted[k], ids, labels)
         emit(f"{slug}_volume_diff_pos", trace.volume_diff_pos[k], win_ids, win_labels)
         emit(f"{slug}_volume_diff_neg", trace.volume_diff_neg[k], win_ids, win_labels)
-        emit(f"{slug}_coeff_pos", trace.coeff_pos[k], win_ids, win_labels)
-        emit(f"{slug}_coeff_neg", trace.coeff_neg[k], win_ids, win_labels)
+        coeff_pos = grey_coefficients(trace.volume_diff_pos[k], *trace.extremes_pos)
+        coeff_neg = grey_coefficients(trace.volume_diff_neg[k], *trace.extremes_neg)
+        emit(f"{slug}_coeff_pos", coeff_pos, win_ids, win_labels)
+        emit(f"{slug}_coeff_neg", coeff_neg, win_ids, win_labels)
     return written

@@ -105,9 +105,10 @@ class StageMatrices:
     """Intermediate arrays of one assessment run, kept for trace output.
 
     The leading axis of the per-area arrays is aligned with ``area_names``.
-    Standardized and weighted scores are (n, m, T); difference and
-    coefficient arrays are (n, m-1, T-1). The ideal matrices are m x T and
-    their volumes (m-1) x (T-1).
+    Standardized and weighted scores are (n, m, T); difference arrays are
+    (n, m-1, T-1). The ideal matrices are m x T and their volumes
+    (m-1) x (T-1). Each family's (d_max, d_min) pair rescales its differences
+    into grey coefficients, which are not held here.
     """
 
     index_ids: tuple[str, ...]
@@ -121,8 +122,8 @@ class StageMatrices:
     volume_negative: np.ndarray
     volume_diff_pos: np.ndarray
     volume_diff_neg: np.ndarray
-    coeff_pos: np.ndarray
-    coeff_neg: np.ndarray
+    extremes_pos: tuple[float, float]
+    extremes_neg: tuple[float, float]
 
 
 def _check_orientation(d: IndexDefinition, errors: list[str]) -> None:

@@ -174,8 +174,8 @@ def run_assessment(inp: AssessmentInput, config: RunConfig | None = None) -> Ass
             volume_negative=vol_neg,
             volume_diff_pos=fam_pos.volume_diffs,
             volume_diff_neg=fam_neg.volume_diffs,
-            coeff_pos=fam_pos.coefficients,
-            coeff_neg=fam_neg.coefficients,
+            extremes_pos=(fam_pos.d_max, fam_pos.d_min),
+            extremes_neg=(fam_neg.d_max, fam_neg.d_min),
         )
 
     result = AssessmentResult(

@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greyrisk.cli import main
 from greyrisk.io import input_to_json
@@ -256,3 +263,58 @@ def test_module_invocation_smoke():
     )
     assert proc.returncode == 0
     assert "area3" in proc.stdout
+
+
+_CELL_EDITS = st.sampled_from([
+    "0.25", " 7 ", "", "x", "nan", "-inf", "1e308", "-1e308", "1e400", "1_0", "\u0661", ' "2" ',
+    "true", "0x10", "\ufeff3", "1,2", "1\u20282", '"', "-0", "1e-320",
+]) | st.text("0123456789.e-, ", max_size=4)
+
+
+@st.composite
+def _mutated_bundle_files(draw):
+    """(file name, bytes) of one bundled-case area file after 1-4 cell or line edits."""
+    case = json.loads(input_to_json(load_bundled_case()))
+    area = draw(st.sampled_from(case["areas"]))
+    lines = [[repr(v) for v in row] for row in area["values"]]
+    for _ in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["cell", "cell", "drop-line", "repeat-line", "blank-line",
+                                     "drop-cell", "extra-cell"]))
+        if edit == "cell" and lines[k]:
+            j = draw(st.integers(0, len(lines[k]) - 1))
+            lines[k][j] = draw(_CELL_EDITS)
+        elif edit == "drop-line" and len(lines) > 1:
+            del lines[k]
+        elif edit == "repeat-line":
+            lines.insert(k, list(lines[k]))
+        elif edit == "blank-line":
+            lines.insert(k, [])
+        elif edit == "drop-cell":
+            lines[k] = lines[k][:-1]
+        elif edit == "extra-cell":
+            lines[k] = lines[k] + ["0.5"]
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    data = "".join(",".join(cells) + newline for cells in lines).encode("utf-8")
+    if draw(st.booleans()) and draw(st.booleans()):
+        data += b"\xff"  # not UTF-8
+    return f"{area['name']}.csv", data
+
+
+@given(_mutated_bundle_files(), st.sampled_from(["text", "csv"]))
+@settings(max_examples=60, deadline=None)
+def test_mutated_bundle_area_files_keep_the_error_contract(edited, report_format):
+    """A csv bundle with edited area files exits 0, 1 or 2, with no traceback, NaN or warning."""
+    name, data = edited
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would have reached stderr
+        root = Path(tmp) / "bundle"
+        write_bundle(root, json.loads(input_to_json(load_bundled_case())))
+        (root / name).write_bytes(data)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["assess", "--input", str(root), "--format", report_format])
+    assert code in (0, 1, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert "nan" not in out.getvalue().lower()
+    assert (code == 0) == bool(out.getvalue()) == (not err.getvalue())

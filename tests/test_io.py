@@ -7,6 +7,7 @@ import json
 import os
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from greyrisk import (
     load_input,
     run_assessment,
 )
+from greyrisk import io as gio
 from greyrisk.io import (
     compute_fingerprint,
     emit_report,
@@ -348,6 +350,92 @@ class TestCsvBundle:
         (root / "area1.csv").write_text("1,2\nx,4\n")
         with pytest.raises(InputFormatError, match="area1.csv row 2"):
             load_input(root)
+
+    @pytest.mark.parametrize("text, message", [
+        ("1,2,3\n4,5\n", "area1.csv row 2: rows have differing widths, 2 cells where row 1 has 3"),
+        ("\n1,2\n\n3,4\n5,6,7\n8\n",
+         "area1.csv row 5: rows have differing widths, 3 cells where row 2 has 2"),
+    ], ids=["second-row", "blank-lines-counted"])
+    def test_ragged_area_row_located(self, tmp_path, case_dict, text, message):
+        root = tmp_path / "bundle"
+        write_bundle(root, case_dict)
+        (root / "area1.csv").write_text(text)
+        with pytest.raises(InputFormatError, match=f"^{message}$"):
+            load_input(root)
+
+    def test_plain_grids_never_reach_the_cell_reader(self, tmp_path, case_dict, monkeypatch):
+        root = tmp_path / "bundle"
+        write_bundle(root, case_dict)
+
+        def refuse(path):
+            raise AssertionError(f"{path.name} was read cell by cell")
+
+        monkeypatch.setattr(gio, "_csv_grid_cells", refuse)
+        assert input_to_dict(load_input(root)) == case_dict
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "\r\n\r\n"],
+                             ids=["empty", "blank-lines", "crlf-blank-lines"])
+    def test_area_file_without_rows_is_a_shape_error(self, tmp_path, case_dict, text):
+        root = tmp_path / "bundle"
+        write_bundle(root, case_dict)
+        (root / "area1.csv").write_bytes(text.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt's "input contained no data" stays inside
+            with pytest.raises(ValidationError, match="'area1': expected 15x6 value matrix, got 0"):
+                load_input(root)
+
+    @pytest.mark.parametrize("cell, value", [("1_0", 10.0), ("\u0661", 1.0), (" 7 ", 7.0)],
+                             ids=["underscore", "arabic-indic-digit", "spaces"])
+    def test_cells_float_accepts_still_load(self, tmp_path, case_dict, cell, value):
+        root = tmp_path / "bundle"
+        write_bundle(root, case_dict)
+        rows = (root / "area1.csv").read_text(encoding="utf-8").splitlines()
+        rows[0] = ",".join([cell] + rows[0].split(",")[1:])
+        (root / "area1.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+        assert load_input(root).values[0, 0, 0] == value
+
+
+def _read_grid(reader, path):
+    """The array an area-file reader returns, or the message of the error it raises."""
+    try:
+        grid = reader(path)
+    except InputFormatError as exc:
+        return str(exc)
+    return grid.shape, grid.dtype, grid.tobytes()
+
+
+_CELLS = st.one_of(
+    st.sampled_from(["1", "-2.5", "3e-2", "1E+400", ".5", "7.", "1_0", "\u0661", ' "4" ', "\t6 ",
+                     "", "-", "e", "\ufeff8", "1\u20282"]),
+    st.text("0123456789.eE+-_ \t\"\u0661\ufeff\u2028", max_size=5),
+)
+_GRIDS = st.builds(
+    lambda rows, newline, tail: newline.join(",".join(r) for r in rows) + tail,
+    st.lists(st.lists(_CELLS, min_size=1, max_size=4), max_size=4),
+    st.sampled_from(["\n", "\r\n", "\r"]),
+    st.sampled_from(["", "\n", "\n\n", "\r\n \n"]),
+)
+_AREA_TEXT = st.one_of(
+    st.text("0123456789.eE+-_ \t,\"\r\n\u0661\ufeff\u2028", max_size=40), _GRIDS)
+
+
+@given(_AREA_TEXT)
+@settings(max_examples=300, deadline=None)
+@example("")
+@example("\n\n")
+@example("1_0,2\n3,4\n")
+@example("\u0661,2\n3,4\n")
+@example("1,2\u20283,4\n")
+@example("\ufeff1,2\n3,4\n")
+@example('"1",2\r\n3, 4 \r\n')
+@example("1,2,3\n\n4,5\n")
+def test_area_grid_reader_matches_cell_reader(text):
+    """np.loadtxt with the cell reader as fallback reads exactly what the cell reader does."""
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        path = Path(tmp) / "area1.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert _read_grid(gio._csv_grid, path) == _read_grid(gio._csv_grid_cells, path)
 
 
 class TestEmitReport:

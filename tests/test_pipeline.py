@@ -16,6 +16,7 @@ from greyrisk import (
     ZeroingMode,
     run_assessment,
 )
+from greyrisk.incidence import grey_coefficients
 from greyrisk.io import render_csv, render_json, render_text, report_to_dict
 from greyrisk.pipeline import AreaAssessment, load_bundled_case
 
@@ -73,10 +74,11 @@ class TestRunAssessment:
         assert trace.standardized.shape == trace.weighted.shape == (3, 15, 6)
         assert trace.positive_ideal.shape == trace.negative_ideal.shape == (15, 6)
         assert trace.volume_positive.shape == trace.volume_negative.shape == (14, 5)
-        for stage in (trace.volume_diff_pos, trace.volume_diff_neg,
-                      trace.coeff_pos, trace.coeff_neg):
+        coeff_pos = grey_coefficients(trace.volume_diff_pos, *trace.extremes_pos)
+        coeff_neg = grey_coefficients(trace.volume_diff_neg, *trace.extremes_neg)
+        for stage in (trace.volume_diff_pos, trace.volume_diff_neg, coeff_pos, coeff_neg):
             assert stage.shape == (3, 14, 5)
-        assert ((trace.coeff_pos >= 0) & (trace.coeff_pos <= 1)).all()
+        assert ((coeff_pos >= 0) & (coeff_pos <= 1)).all()
 
     def test_trace_ideal_dominance(self, bundled_input):
         trace = run_assessment(bundled_input, RunConfig(emit_trace=True)).result.trace
@@ -289,19 +291,33 @@ def test_traced_run_gives_the_same_bits(inp, mode):
         assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), key
 
 
-@pytest.mark.parametrize("n, m, T", [(2000, 15, 6), (500, 50, 24)])
-def test_untraced_run_peak_stays_under_two_and_a_half_inputs(n, m, T):
+def _run_peak_in_inputs(n, m, T, config):
+    """tracemalloc peak of one run on random (n, m, T) scores of all four orientations,
+    as a multiple of the input array's size."""
     rng = np.random.default_rng(1)
     kinds = KINDS + (Orientation.interval(0.25, 0.75),)
     inp = make_input(rng.random((n, m, T)), orientations=[kinds[j % 4] for j in range(m)])
-    run_assessment(inp)  # a first call may import modules, which tracemalloc would count
+    run_assessment(inp, config)  # a first call may import modules, which tracemalloc would count
     tracemalloc.start()
     try:
-        run_assessment(inp)
+        run_assessment(inp, config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * inp.values.nbytes, peak / inp.values.nbytes
+    return peak / inp.values.nbytes
+
+
+@pytest.mark.parametrize("n, m, T", [(2000, 15, 6), (500, 50, 24)])
+def test_untraced_run_peak_stays_under_two_and_a_half_inputs(n, m, T):
+    ratio = _run_peak_in_inputs(n, m, T, RunConfig())
+    assert ratio <= 2.5, ratio
+
+
+@pytest.mark.parametrize("n, m, T", [(2000, 15, 6), (500, 50, 24)])
+def test_traced_run_peak_stays_under_five_and_a_half_inputs(n, m, T):
+    """A traced run keeps each stage but no grey coefficient array: write_trace derives them."""
+    ratio = _run_peak_in_inputs(n, m, T, RunConfig(emit_trace=True))
+    assert ratio <= 5.5, ratio
 
 
 @pytest.mark.parametrize("h", [3.0, 5.0, 6.0, 7.0])
