@@ -68,18 +68,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once, at import: a parser built per call is cyclic garbage, which holds
+# its memory through the call until the collector happens to run
+_PARSER = build_parser()
+
+
 def _cmd_assess(args) -> int:
     inp = gio.load_input(args.input, args.input_format)
     config = RunConfig(
         zeroing_mode=ZeroingMode(args.zeroing),
         report_decimals=args.decimals,
-        emit_trace=args.trace_dir is not None,
+        trace_dir=args.trace_dir,
         output_format=args.format,
     )
     report = run_assessment(inp, config)
     gio.emit_report(report, config, args.output)
-    if args.trace_dir is not None:
-        gio.write_trace(report.result.trace, args.trace_dir)
     return EXIT_OK
 
 
@@ -90,16 +93,14 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    config = RunConfig(emit_trace=args.trace_dir is not None)
+    config = RunConfig(trace_dir=args.trace_dir)
     report = run_assessment(load_bundled_case(), config)
     gio.emit_report(report, config)
-    if args.trace_dir is not None:
-        gio.write_trace(report.result.trace, args.trace_dir)
     return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     handlers = {"assess": _cmd_assess, "validate": _cmd_validate, "demo": _cmd_demo}
     try:
         return handlers[args.command](args)

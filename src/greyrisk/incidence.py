@@ -60,11 +60,6 @@ class IncidenceFamilyResult:
     d_min: float
     degrees: np.ndarray
 
-    @property
-    def coefficients(self) -> np.ndarray:
-        """Grey coefficients of every area, shaped like ``volume_diffs``."""
-        return grey_coefficients(self.volume_diffs, self.d_max, self.d_min)
-
 
 def _blocks(n: int, cells: int):
     """Slices of consecutive areas, each of at most BLOCK_CELLS cells and one area at least."""

@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 import re
 import sys
 import warnings
@@ -31,13 +32,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .incidence import grey_coefficients
+from .incidence import IncidenceFamilyResult, grey_coefficients
 from .model import (
     AssessmentInput,
     IndexDefinition,
     Orientation,
     OrientationKind,
-    StageMatrices,
     ValidationError,
     grid_errors,
 )
@@ -412,7 +412,7 @@ def _slug(name: str) -> str:
     return s or "area"
 
 
-def _write_matrix(path: Path, matrix: np.ndarray, row_labels, col_labels) -> None:
+def _write_matrix(path: str, matrix: np.ndarray, row_labels, col_labels) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([""] + list(col_labels))
@@ -420,45 +420,61 @@ def _write_matrix(path: Path, matrix: np.ndarray, row_labels, col_labels) -> Non
             writer.writerow([label] + [repr(float(v)) for v in row])
 
 
-def write_trace(trace: StageMatrices, out_dir) -> list[Path]:
-    """Dump trace matrices as CSVs with index-id rows and period-label columns.
+class TraceWriter:
+    """Writes the stages of one run on ``inp`` to ``out_dir`` as CSVs; with
+    ``out_dir`` None it writes nothing.
 
-    Volume-stage matrices are one cell smaller per axis; their rows and
-    columns are labeled by the window's upper-left index id and period.
-    Writes four shared files (both ideal matrices and their volumes) and six
-    files per area (standardized, weighted, both volume differences, both
-    coefficient matrices, rescaled from the differences one area at a time).
+    Rows are labeled by index id and columns by period label. Volume-stage
+    matrices are one cell smaller per axis; their rows and columns are labeled
+    by the window's upper-left index id and period. A run writes four shared
+    files (both ideal matrices and their volumes) and six files per area
+    (standardized, weighted, and each family's volume differences and grey
+    coefficients).
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    ids, labels = trace.index_ids, trace.period_labels
-    win_ids, win_labels = ids[:-1], labels[:-1]
-    written: list[Path] = []
 
-    def emit(name: str, matrix: np.ndarray, rows, cols) -> None:
-        path = out / f"{name}.csv"
-        _write_matrix(path, matrix, rows, cols)
-        written.append(path)
+    def __init__(self, out_dir, inp: AssessmentInput):
+        self.out = out_dir
+        if out_dir is None:
+            return
+        os.makedirs(out_dir, exist_ok=True)
+        ids, labels = tuple(d.id for d in inp.indices), inp.periods
+        self.axes = {(len(ids), len(labels)): (ids, labels),
+                     (len(ids) - 1, len(labels) - 1): (ids[:-1], labels[:-1])}
+        self.slugs, used = [], set()
+        for k, name in enumerate(inp.area_names):
+            slug = base = _slug(name)
+            suffix = k + 1
+            while slug in used:
+                slug = f"{base}_{suffix}"
+                suffix += 1
+            used.add(slug)
+            self.slugs.append(slug)
 
-    emit("positive_ideal", trace.positive_ideal, ids, labels)
-    emit("negative_ideal", trace.negative_ideal, ids, labels)
-    emit("positive_ideal_volume", trace.volume_positive, win_ids, win_labels)
-    emit("negative_ideal_volume", trace.volume_negative, win_ids, win_labels)
+    def stage(self, name: str, array: np.ndarray) -> None:
+        """An (m, T) or (m-1, T-1) stage as one shared file, an (n, ...) stage as
+        one file per area."""
+        if self.out is None:
+            return
+        if array.ndim == 2:
+            _write_matrix(self._path(name), array, *self.axes[array.shape])
+        else:
+            self._per_area(name, array, array.shape[1:])
 
-    used: set[str] = set()
-    for k, name in enumerate(trace.area_names):
-        slug = base = _slug(name)
-        suffix = k + 1
-        while slug in used:
-            slug = f"{base}_{suffix}"
-            suffix += 1
-        used.add(slug)
-        emit(f"{slug}_standardized", trace.standardized[k], ids, labels)
-        emit(f"{slug}_weighted", trace.weighted[k], ids, labels)
-        emit(f"{slug}_volume_diff_pos", trace.volume_diff_pos[k], win_ids, win_labels)
-        emit(f"{slug}_volume_diff_neg", trace.volume_diff_neg[k], win_ids, win_labels)
-        coeff_pos = grey_coefficients(trace.volume_diff_pos[k], *trace.extremes_pos)
-        coeff_neg = grey_coefficients(trace.volume_diff_neg[k], *trace.extremes_neg)
-        emit(f"{slug}_coeff_pos", coeff_pos, win_ids, win_labels)
-        emit(f"{slug}_coeff_neg", coeff_neg, win_ids, win_labels)
-    return written
+    def family(self, sign: str, fam: IncidenceFamilyResult) -> None:
+        """An incidence family's volume differences, and its grey coefficients
+        rescaled from them one area at a time."""
+        if self.out is None:
+            return
+        diffs = fam.volume_diffs
+        self._per_area(f"volume_diff_{sign}", diffs, diffs.shape[1:])
+        coeffs = (grey_coefficients(d, fam.d_max, fam.d_min) for d in diffs)
+        self._per_area(f"coeff_{sign}", coeffs, diffs.shape[1:])
+
+    def _per_area(self, name: str, matrices, shape: tuple) -> None:
+        rows, cols = self.axes[shape]
+        for slug, matrix in zip(self.slugs, matrices):
+            _write_matrix(self._path(f"{slug}_{name}"), matrix, rows, cols)
+
+    def _path(self, name: str) -> str:
+        # a plain string: pathlib would intern every one of the 6n file names
+        return os.path.join(self.out, f"{name}.csv")

@@ -100,32 +100,6 @@ class AssessmentInput:
         return np.array([d.weight for d in self.indices], dtype=float)
 
 
-@dataclass(frozen=True)
-class StageMatrices:
-    """Intermediate arrays of one assessment run, kept for trace output.
-
-    The leading axis of the per-area arrays is aligned with ``area_names``.
-    Standardized and weighted scores are (n, m, T); difference arrays are
-    (n, m-1, T-1). The ideal matrices are m x T and their volumes
-    (m-1) x (T-1). Each family's (d_max, d_min) pair rescales its differences
-    into grey coefficients, which are not held here.
-    """
-
-    index_ids: tuple[str, ...]
-    period_labels: tuple[str, ...]
-    area_names: tuple[str, ...]
-    standardized: np.ndarray
-    weighted: np.ndarray
-    positive_ideal: np.ndarray
-    negative_ideal: np.ndarray
-    volume_positive: np.ndarray
-    volume_negative: np.ndarray
-    volume_diff_pos: np.ndarray
-    volume_diff_neg: np.ndarray
-    extremes_pos: tuple[float, float]
-    extremes_neg: tuple[float, float]
-
-
 def _check_orientation(d: IndexDefinition, errors: list[str]) -> None:
     o = d.orientation
     if o.kind is OrientationKind.INTERVAL:

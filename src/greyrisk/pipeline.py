@@ -1,11 +1,13 @@
 """End-to-end assessment run: standardize, weight, build ideals, score, rank.
 
-A run is a pure function of (input, config): identical inputs produce
-identical reports apart from the wall-clock duration field.
+A run is a pure function of (input, config) apart from the trace files it
+writes when ``trace_dir`` is set: identical inputs produce identical reports
+apart from the wall-clock duration field.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 from importlib import resources
@@ -15,7 +17,7 @@ import numpy as np
 from . import io as gio
 from ._meta import VERSION
 from .incidence import ZeroingMode, incidence_family, local_volume, zeroing_image
-from .model import AssessmentInput, StageMatrices
+from .model import AssessmentInput
 from .normalize import standardize_all
 from .ranking import (
     DegenerateAssessmentError,
@@ -32,9 +34,8 @@ OUTPUT_FORMATS = ("text", "json", "csv")
 @dataclass(frozen=True)
 class RunConfig:
     zeroing_mode: ZeroingMode = ZeroingMode.FIRST_COLUMN
-    renormalize_weights: bool = True
     report_decimals: int = 2
-    emit_trace: bool = False
+    trace_dir: str | os.PathLike | None = None  # where each stage is written as CSVs
     output_format: str = "text"
 
     def validate(self) -> "RunConfig":
@@ -77,7 +78,6 @@ class AssessmentResult:
     level: np.ndarray
     tied: np.ndarray
     config_echo: dict
-    trace: StageMatrices | None = None
 
     @property
     def areas(self) -> tuple[AreaAssessment, ...]:
@@ -95,9 +95,9 @@ class AssessmentReport:
     duration_seconds: float
 
 
-def _renormalized(weights: np.ndarray, enabled: bool) -> tuple[np.ndarray, bool]:
+def _renormalized(weights: np.ndarray) -> tuple[np.ndarray, bool]:
     total = float(weights.sum())
-    if enabled and total != 1.0:
+    if total != 1.0:
         return weights / total, True
     return weights, False
 
@@ -107,35 +107,43 @@ def run_assessment(inp: AssessmentInput, config: RunConfig | None = None) -> Ass
 
     Steps, in order: standardize, weight, build ideal matrices, volumetric
     incidence against each ideal, superiority degrees, ranking, classification
-    (the input was validated when built). Errors carry the failing step.
+    (the input was validated when built). Errors carry the failing step. With
+    ``config.trace_dir`` set, each stage is written there as soon as it is made,
+    so a run that fails a later step leaves the stages made before it.
     """
     config = (config or RunConfig()).validate()
     t0 = time.perf_counter()
+    trace = gio.TraceWriter(config.trace_dir, inp)
 
     fingerprint = gio.compute_fingerprint(inp)
 
     lam_raw = inp.index_weights
     theta_raw = inp.time_weights
-    lam, lam_renormed = _renormalized(lam_raw, config.renormalize_weights)
-    theta, theta_renormed = _renormalized(theta_raw, config.renormalize_weights)
+    lam, lam_renormed = _renormalized(lam_raw)
+    theta, theta_renormed = _renormalized(theta_raw)
 
     mode = config.zeroing_mode
+    # one working array: standardized, then weighted, then re-based in place
     b = standardize_all(inp.values.copy(), inp.indices)
-    # an untraced run weights and re-bases in b itself; a traced one keeps each stage
-    out = None if config.emit_trace else b
-    c = apply_weights(b, lam, theta, out=out)
+    trace.stage("standardized", b)
+    c = apply_weights(b, lam, theta, out=b)
+    trace.stage("weighted", c)
     c_pos, c_neg = positive_ideal(c), negative_ideal(c)
-    vol = local_volume(zeroing_image(c, mode, out=out))
-    if not config.emit_trace:
-        del b, c, out  # untraced, all three name the working array: free it before incidence
+    trace.stage("positive_ideal", c_pos)
+    trace.stage("negative_ideal", c_neg)
+    vol = local_volume(zeroing_image(c, mode, out=c))
+    del b, c  # both name the working array: free it before incidence
 
     vol_pos = local_volume(zeroing_image(c_pos, mode))
     vol_neg = local_volume(zeroing_image(c_neg, mode))
+    trace.stage("positive_ideal_volume", vol_pos)
+    trace.stage("negative_ideal_volume", vol_neg)
     fam_pos = incidence_family(vol_pos, vol)
+    trace.family("pos", fam_pos)
     gp = fam_pos.degrees
-    if not config.emit_trace:
-        del fam_pos  # only the trace reads D+; free it before D- is built
+    del fam_pos  # free D+ before D- is built
     fam_neg = incidence_family(vol_neg, vol)
+    trace.family("neg", fam_neg)
     gn = fam_neg.degrees
 
     try:
@@ -150,9 +158,9 @@ def run_assessment(inp: AssessmentInput, config: RunConfig | None = None) -> Ass
 
     echo = {
         "zeroing_mode": config.zeroing_mode.value,
-        "renormalize_weights": config.renormalize_weights,
+        "renormalize_weights": True,
         "report_decimals": config.report_decimals,
-        "emit_trace": config.emit_trace,
+        "emit_trace": config.trace_dir is not None,
         "output_format": config.output_format,
         "index_weight_sum": float(lam_raw.sum()),
         "time_weight_sum": float(theta_raw.sum()),
@@ -160,27 +168,9 @@ def run_assessment(inp: AssessmentInput, config: RunConfig | None = None) -> Ass
         "time_weights_renormalized": theta_renormed,
     }
 
-    trace = None
-    if config.emit_trace:
-        trace = StageMatrices(
-            index_ids=tuple(d.id for d in inp.indices),
-            period_labels=inp.periods,
-            area_names=inp.area_names,
-            standardized=b,
-            weighted=c,
-            positive_ideal=c_pos,
-            negative_ideal=c_neg,
-            volume_positive=vol_pos,
-            volume_negative=vol_neg,
-            volume_diff_pos=fam_pos.volume_diffs,
-            volume_diff_neg=fam_neg.volume_diffs,
-            extremes_pos=(fam_pos.d_max, fam_pos.d_min),
-            extremes_neg=(fam_neg.d_max, fam_neg.d_min),
-        )
-
     result = AssessmentResult(
         tuple(map(inp.area_names.__getitem__, order.tolist())), gp[order], gn[order],
-        s[order], rank[order], classify(s[order]), tied[order], echo, trace)
+        s[order], rank[order], classify(s[order]), tied[order], echo)
     return AssessmentReport(
         result=result,
         fingerprint=fingerprint,

@@ -7,6 +7,13 @@ from greyrisk import AssessmentInput, IndexDefinition, Orientation, standardize_
 from greyrisk.pipeline import load_bundled_case
 
 
+def read_matrix(path):
+    """A trace CSV's values, without its row and column labels."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    return np.array([[float(v) for v in row[1:]] for row in rows[1:]])
+
+
 def make_input(matrices, index_weights=None, time_weights=None, orientations=None,
                names=None):
     """Assemble an AssessmentInput from raw m x T matrices, one per area.

@@ -26,7 +26,7 @@ from greyrisk import (
     run_assessment,
     superiority_degree,
 )
-from greyrisk.io import input_to_dict, input_to_json, write_trace
+from greyrisk.io import input_to_dict, input_to_json
 from greyrisk.pipeline import load_bundled_case
 
 from conftest import make_input, standardized
@@ -202,8 +202,8 @@ def test_criterion_7_io_round_trip_and_trace(tmp_path):
         path.write_text(input_to_json(original))
         assert input_to_dict(load_input(path)) == input_to_dict(original)
 
-        report = run_assessment(original, RunConfig(emit_trace=True))
-        files = write_trace(report.result.trace, tmp_path / "trace")
+        run_assessment(original, RunConfig(trace_dir=tmp_path / "trace"))
+        files = list((tmp_path / "trace").iterdir())
         assert len(files) == 22
         shapes = {"full": 0, "window": 0}
         for f in files:

@@ -231,6 +231,17 @@ def test_degenerate_computation_exits_3(tmp_path, capsys):
     assert "degenerate computation" in err and "area1" in err
 
 
+def test_degenerate_computation_leaves_its_trace(tmp_path, capsys):
+    path = tmp_path / "degenerate.json"
+    path.write_text(input_to_json(make_input(DEGENERATE_MATRICES)))
+    assert main(["assess", "--input", str(path)]) == 3
+    untraced = capsys.readouterr()
+    trace_dir = tmp_path / "trace"
+    assert main(["assess", "--input", str(path), "--trace-dir", str(trace_dir)]) == 3
+    assert capsys.readouterr() == untraced
+    assert len(list(trace_dir.glob("*.csv"))) == 4 + 6 * len(DEGENERATE_MATRICES)
+
+
 def test_csv_bundle_input(case_json, tmp_path, capsys):
     import csv
 

@@ -111,7 +111,7 @@ class TestIncidenceFamily:
         res = family(ref, [ref.copy(), ref.copy()])
         assert res.d_max == 0.0
         assert res.degrees.tolist() == [1.0, 1.0]
-        for g in res.coefficients:
+        for g in grey_coefficients(res.volume_diffs, res.d_max, res.d_min):
             np.testing.assert_array_equal(g, np.ones((1, 1)))
 
     def test_hand_computed_family(self):
@@ -122,7 +122,8 @@ class TestIncidenceFamily:
         res = family(ref, [factor], mode=ZeroingMode.NONE)
         np.testing.assert_array_equal(res.volume_diffs[0], [[0.0, 4.0], [1.0, 3.0]])
         assert (res.d_max, res.d_min) == (4.0, 0.0)
-        np.testing.assert_allclose(res.coefficients[0], [[1.0, 0.0], [0.75, 0.25]])
+        coeffs = grey_coefficients(res.volume_diffs, res.d_max, res.d_min)
+        np.testing.assert_allclose(coeffs[0], [[1.0, 0.0], [0.75, 0.25]])
         assert res.degrees[0] == pytest.approx(0.5)
 
     def test_equal_nonzero_differences_degenerate_to_ones(self):
@@ -166,7 +167,7 @@ def test_coefficients_in_unit_range_with_attained_bounds(mats, mode):
     ref, factors = mats[0], mats[1:]
     res = family(ref, factors, mode)
     assert (res.d_min <= res.volume_diffs).all() and (res.volume_diffs <= res.d_max).all()
-    allg = res.coefficients.ravel()
+    allg = grey_coefficients(res.volume_diffs, res.d_max, res.d_min).ravel()
     assert ((allg >= 0.0) & (allg <= 1.0)).all()
     assert (allg == 1.0).any()
     if res.d_max > res.d_min:
@@ -212,7 +213,9 @@ def test_deterministic(mats, mode):
     second = family(ref, factors, mode)
     np.testing.assert_array_equal(first.degrees, second.degrees)
     assert first.d_max == second.d_max and first.d_min == second.d_min
-    np.testing.assert_array_equal(first.coefficients, second.coefficients)
+    np.testing.assert_array_equal(
+        grey_coefficients(first.volume_diffs, first.d_max, first.d_min),
+        grey_coefficients(second.volume_diffs, second.d_max, second.d_min))
 
 
 # --- block-wise and in-place kernels against their one-shot forms ----------

@@ -37,11 +37,10 @@ from greyrisk.io import (
     render_json,
     render_text,
     report_to_dict,
-    write_trace,
 )
 from greyrisk.model import OrientationKind
 
-from conftest import make_input, write_bundle
+from conftest import make_input, read_matrix, standardized, write_bundle
 
 # the bundled case's reports in each zeroing mode, byte for byte (JSON duration 0.0)
 GOLDEN = Path(__file__).parent / "golden"
@@ -508,8 +507,8 @@ class TestEmitReport:
 
 class TestTrace:
     def test_demo_trace_file_count_and_shapes(self, bundled_input, tmp_path):
-        report = run_assessment(bundled_input, RunConfig(emit_trace=True))
-        written = write_trace(report.result.trace, tmp_path / "trace")
+        run_assessment(bundled_input, RunConfig(trace_dir=tmp_path / "trace"))
+        written = list((tmp_path / "trace").iterdir())
         assert len(written) == 22
         full, windowed = 0, 0
         for path in written:
@@ -528,8 +527,8 @@ class TestTrace:
         assert full == 8 and windowed == 14
 
     def test_trace_names_cover_shared_and_per_area(self, bundled_input, tmp_path):
-        report = run_assessment(bundled_input, RunConfig(emit_trace=True))
-        names = {p.name for p in write_trace(report.result.trace, tmp_path / "t")}
+        run_assessment(bundled_input, RunConfig(trace_dir=tmp_path / "t"))
+        names = {p.name for p in (tmp_path / "t").iterdir()}
         for shared in ("positive_ideal.csv", "negative_ideal.csv",
                        "positive_ideal_volume.csv", "negative_ideal_volume.csv"):
             assert shared in names
@@ -540,22 +539,18 @@ class TestTrace:
 
     def test_colliding_slugs_get_unused_suffixes(self, bundled_input, tmp_path):
         renamed = dataclasses.replace(bundled_input, area_names=("x", "x_3", "X"))
-        report = run_assessment(renamed, RunConfig(emit_trace=True))
-        written = write_trace(report.result.trace, tmp_path)
-        assert len(set(written)) == len(list(tmp_path.glob("*.csv"))) == 22
+        run_assessment(renamed, RunConfig(trace_dir=tmp_path))
+        assert len(list(tmp_path.glob("*.csv"))) == 22
 
     def test_trace_values_round_trip(self, bundled_input, tmp_path):
-        report = run_assessment(bundled_input, RunConfig(emit_trace=True))
-        write_trace(report.result.trace, tmp_path)
-        with open(tmp_path / "area1_standardized.csv", newline="") as fh:
-            rows = list(csv.reader(fh))
-        parsed = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
-        np.testing.assert_array_equal(parsed, report.result.trace.standardized[0])
+        run_assessment(bundled_input, RunConfig(trace_dir=tmp_path))
+        parsed = read_matrix(tmp_path / "area1_standardized.csv")
+        np.testing.assert_array_equal(parsed, standardized(bundled_input)[0])
 
     @pytest.mark.parametrize("mode", list(ZeroingMode), ids=lambda m: m.value)
     def test_bundled_trace_matches_pinned_digests(self, bundled_input, tmp_path, mode):
         """sha256 of each of the bundled case's 22 trace files, pinned per zeroing mode."""
         pinned = json.loads((GOLDEN / "trace-sha256.json").read_text())[mode.value]
-        report = run_assessment(bundled_input, RunConfig(zeroing_mode=mode, emit_trace=True))
-        written = write_trace(report.result.trace, tmp_path)
+        run_assessment(bundled_input, RunConfig(zeroing_mode=mode, trace_dir=tmp_path))
+        written = tmp_path.iterdir()
         assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written} == pinned

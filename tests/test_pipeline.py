@@ -1,5 +1,6 @@
 
 import dataclasses
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -16,12 +17,11 @@ from greyrisk import (
     ZeroingMode,
     run_assessment,
 )
-from greyrisk.incidence import grey_coefficients
 from greyrisk.io import render_csv, render_json, render_text, report_to_dict
 from greyrisk.pipeline import AreaAssessment, load_bundled_case
 
 import oracle
-from conftest import make_input
+from conftest import make_input, read_matrix
 
 # frozen full-precision results for the bundled case under the default
 # configuration (regression anchors; the case's reference tabulation
@@ -64,27 +64,35 @@ class TestDemo:
 
 
 class TestRunAssessment:
-    def test_trace_off_by_default(self, bundled_input):
-        assert run_assessment(bundled_input).result.trace is None
+    def test_trace_off_by_default(self, bundled_input, tmp_path, monkeypatch):
+        assert RunConfig().trace_dir is None
+        monkeypatch.chdir(tmp_path)
+        run_assessment(bundled_input)
+        assert not any(tmp_path.iterdir())
 
-    def test_trace_shapes(self, bundled_input):
-        report = run_assessment(bundled_input, RunConfig(emit_trace=True))
-        trace = report.result.trace
-        assert trace is not None
-        assert trace.standardized.shape == trace.weighted.shape == (3, 15, 6)
-        assert trace.positive_ideal.shape == trace.negative_ideal.shape == (15, 6)
-        assert trace.volume_positive.shape == trace.volume_negative.shape == (14, 5)
-        coeff_pos = grey_coefficients(trace.volume_diff_pos, *trace.extremes_pos)
-        coeff_neg = grey_coefficients(trace.volume_diff_neg, *trace.extremes_neg)
-        for stage in (trace.volume_diff_pos, trace.volume_diff_neg, coeff_pos, coeff_neg):
-            assert stage.shape == (3, 14, 5)
-        assert ((coeff_pos >= 0) & (coeff_pos <= 1)).all()
+    def test_trace_shapes(self, bundled_input, tmp_path):
+        run_assessment(bundled_input, RunConfig(trace_dir=tmp_path))
+        for name in ("positive_ideal", "negative_ideal"):
+            assert read_matrix(tmp_path / f"{name}.csv").shape == (15, 6)
+        for name in ("positive_ideal_volume", "negative_ideal_volume"):
+            assert read_matrix(tmp_path / f"{name}.csv").shape == (14, 5)
+        for area in ("area1", "area2", "area3"):
+            for stage in ("standardized", "weighted"):
+                assert read_matrix(tmp_path / f"{area}_{stage}.csv").shape == (15, 6)
+            for stage in ("volume_diff_pos", "volume_diff_neg", "coeff_pos", "coeff_neg"):
+                assert read_matrix(tmp_path / f"{area}_{stage}.csv").shape == (14, 5)
+            for stage in ("coeff_pos", "coeff_neg"):
+                coeff = read_matrix(tmp_path / f"{area}_{stage}.csv")
+                assert ((coeff >= 0) & (coeff <= 1)).all()
 
-    def test_trace_ideal_dominance(self, bundled_input):
-        trace = run_assessment(bundled_input, RunConfig(emit_trace=True)).result.trace
-        for c in trace.weighted:
-            assert (trace.negative_ideal <= c).all()
-            assert (c <= trace.positive_ideal).all()
+    def test_trace_ideal_dominance(self, bundled_input, tmp_path):
+        run_assessment(bundled_input, RunConfig(trace_dir=tmp_path))
+        c_pos = read_matrix(tmp_path / "positive_ideal.csv")
+        c_neg = read_matrix(tmp_path / "negative_ideal.csv")
+        for area in ("area1", "area2", "area3"):
+            c = read_matrix(tmp_path / f"{area}_weighted.csv")
+            assert (c_neg <= c).all()
+            assert (c <= c_pos).all()
 
     def test_deterministic_apart_from_duration(self, bundled_input):
         d1 = report_to_dict(run_assessment(bundled_input))
@@ -183,17 +191,6 @@ class TestRunAssessment:
         with pytest.raises(ValueError, match="output format"):
             run_assessment(bundled_input, RunConfig(output_format="xml"))
 
-    def test_renormalization_can_be_disabled(self, bundled_input):
-        echo = run_assessment(
-            bundled_input, RunConfig(renormalize_weights=False)
-        ).result.config_echo
-        assert echo["index_weights_renormalized"] is False
-        # incidence degrees are scale invariant, so results are unchanged
-        base = by_name(run_assessment(bundled_input))
-        raw = by_name(run_assessment(bundled_input, RunConfig(renormalize_weights=False)))
-        for name in base:
-            assert raw[name].superiority == pytest.approx(base[name].superiority, abs=1e-12)
-
 
 class TestZeroingModes:
     def test_first_element_mode_runs(self, bundled_input):
@@ -274,13 +271,15 @@ RESULT_COLUMNS = ("gamma_pos", "gamma_neg", "superiority", "rank", "tied", "leve
 @given(assessment_inputs(), st.sampled_from(list(ZeroingMode)))
 @settings(max_examples=100, deadline=None)
 def test_traced_run_gives_the_same_bits(inp, mode):
-    """The untraced run reuses one working array; the traced one keeps every stage."""
+    """Writing the trace as the run goes leaves every result column as it is."""
     runs = []
-    for emit_trace in (False, True):
-        try:
-            runs.append(run_assessment(inp, RunConfig(zeroing_mode=mode, emit_trace=emit_trace)))
-        except DegenerateAssessmentError as exc:
-            runs.append(str(exc))
+    with tempfile.TemporaryDirectory() as trace_dir:
+        for config in (RunConfig(zeroing_mode=mode),
+                       RunConfig(zeroing_mode=mode, trace_dir=trace_dir)):
+            try:
+                runs.append(run_assessment(inp, config))
+            except DegenerateAssessmentError as exc:
+                runs.append(str(exc))
     lean, traced = runs
     if isinstance(lean, str):
         assert lean == traced
@@ -297,7 +296,9 @@ def _run_peak_in_inputs(n, m, T, config):
     rng = np.random.default_rng(1)
     kinds = KINDS + (Orientation.interval(0.25, 0.75),)
     inp = make_input(rng.random((n, m, T)), orientations=[kinds[j % 4] for j in range(m)])
-    run_assessment(inp, config)  # a first call may import modules, which tracemalloc would count
+    # a first call may import modules, which tracemalloc would count; the trace imports
+    # none, and an untraced call spares writing every file twice
+    run_assessment(inp)
     tracemalloc.start()
     try:
         run_assessment(inp, config)
@@ -314,10 +315,10 @@ def test_untraced_run_peak_stays_under_two_and_a_half_inputs(n, m, T):
 
 
 @pytest.mark.parametrize("n, m, T", [(2000, 15, 6), (500, 50, 24)])
-def test_traced_run_peak_stays_under_five_and_a_half_inputs(n, m, T):
-    """A traced run keeps each stage but no grey coefficient array: write_trace derives them."""
-    ratio = _run_peak_in_inputs(n, m, T, RunConfig(emit_trace=True))
-    assert ratio <= 5.5, ratio
+def test_traced_run_peak_stays_under_three_and_a_half_inputs(n, m, T, tmp_path):
+    """A traced run writes each stage from the working array, so it keeps no stage."""
+    ratio = _run_peak_in_inputs(n, m, T, RunConfig(trace_dir=tmp_path))
+    assert ratio <= 3.5, ratio
 
 
 @pytest.mark.parametrize("h", [3.0, 5.0, 6.0, 7.0])
