@@ -14,7 +14,7 @@ from . import io as gio
 from ._meta import VERSION
 from .incidence import ZeroingMode
 from .model import ValidationError
-from .pipeline import RunConfig, load_bundled_case, run_assessment
+from .pipeline import MAX_REPORT_DECIMALS, RunConfig, load_bundled_case, run_assessment
 from .ranking import DegenerateAssessmentError
 
 EXIT_OK = 0
@@ -22,13 +22,10 @@ EXIT_VALIDATION = 1
 EXIT_IO = 2
 EXIT_DEGENERATE = 3
 
-_ZEROING_CHOICES = [m.value for m in ZeroingMode]
-
-
 def _decimals(value: str) -> int:
     n = int(value)
-    if not 0 <= n <= 12:
-        raise argparse.ArgumentTypeError("must lie in [0, 12]")
+    if not 0 <= n <= MAX_REPORT_DECIMALS:
+        raise argparse.ArgumentTypeError(f"must lie in [0, {MAX_REPORT_DECIMALS}]")
     return n
 
 
@@ -43,15 +40,15 @@ def build_parser() -> argparse.ArgumentParser:
     assess = sub.add_parser("assess", help="run an assessment on a dataset")
     assess.add_argument("--input", required=True, help="dataset file or csv-bundle directory")
     assess.add_argument(
-        "--input-format", choices=["json", "csv-bundle"], default=None,
+        "--input-format", choices=gio.INPUT_FORMATS, default=None,
         help="dataset format (default: csv-bundle for directories, json otherwise)",
     )
-    assess.add_argument("--format", choices=["text", "json", "csv"], default="text",
-                        help="report format (default: text)")
+    assess.add_argument("--format", choices=gio.REPORT_FORMATS, default=RunConfig.output_format,
+                        help="report format (default: %(default)s)")
     assess.add_argument("--output", default=None, help="report destination (default: stdout)")
     assess.add_argument("--trace-dir", default=None,
                         help="directory for intermediate-matrix CSVs")
-    assess.add_argument("--zeroing", choices=_ZEROING_CHOICES,
+    assess.add_argument("--zeroing", choices=[m.value for m in ZeroingMode],
                         default=ZeroingMode.FIRST_COLUMN.value,
                         help="re-basing applied before volume computation")
     assess.add_argument("--decimals", type=_decimals, default=2,
@@ -59,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     validate = sub.add_parser("validate", help="check a dataset without running it")
     validate.add_argument("--input", required=True)
-    validate.add_argument("--input-format", choices=["json", "csv-bundle"], default=None)
+    validate.add_argument("--input-format", choices=gio.INPUT_FORMATS, default=None)
 
     demo = sub.add_parser("demo", help="run the bundled three-area case dataset")
     demo.add_argument("--trace-dir", default=None,
@@ -76,7 +73,7 @@ _PARSER = build_parser()
 def _cmd_assess(args) -> int:
     inp = gio.load_input(args.input, args.input_format)
     config = RunConfig(
-        zeroing_mode=ZeroingMode(args.zeroing),
+        zeroing_mode=args.zeroing,
         report_decimals=args.decimals,
         trace_dir=args.trace_dir,
         output_format=args.format,

@@ -46,7 +46,7 @@ from .ranking import RiskLevel
 if TYPE_CHECKING:
     from .pipeline import AssessmentReport, RunConfig
 
-_ORIENTATION_NAMES = ("benefit", "cost", "intermediate", "interval")
+_ORIENTATION_NAMES = tuple(k.value for k in OrientationKind)
 
 
 class InputFormatError(ValueError):
@@ -191,15 +191,6 @@ def _metadata(inp: AssessmentInput) -> dict:
     }
 
 
-def input_to_dict(inp: AssessmentInput) -> dict:
-    areas = zip(inp.area_names, inp.values.tolist())
-    return {**_metadata(inp), "areas": [{"name": a, "values": v} for a, v in areas]}
-
-
-def input_to_json(inp: AssessmentInput) -> str:
-    return json.dumps(input_to_dict(inp), indent=2)
-
-
 def compute_fingerprint(inp: AssessmentInput) -> str:
     """Content hash of the dataset, independent of file formatting.
 
@@ -317,6 +308,10 @@ def _load_csv_bundle(root: Path) -> AssessmentInput:
                   ((p.stem, _csv_grid(p)) for p in area_files))
 
 
+_LOADERS = {"json": _load_json, "csv-bundle": _load_csv_bundle}
+INPUT_FORMATS = tuple(_LOADERS)
+
+
 def load_input(path, fmt: str | None = None) -> AssessmentInput:
     """Parse a dataset file (json) or directory (csv-bundle) into a validated input.
 
@@ -327,11 +322,9 @@ def load_input(path, fmt: str | None = None) -> AssessmentInput:
     path = Path(path)
     if fmt is None:
         fmt = "csv-bundle" if path.is_dir() else "json"
-    if fmt == "json":
-        return _load_json(path)
-    if fmt == "csv-bundle":
-        return _load_csv_bundle(path)
-    raise InputFormatError(f"unknown input format '{fmt}' (allowed: json, csv-bundle)")
+    if fmt not in _LOADERS:
+        raise InputFormatError(f"unknown input format '{fmt}' (allowed: {', '.join(_LOADERS)})")
+    return _LOADERS[fmt](path)
 
 
 # ---------------------------------------------------------------------------
@@ -381,23 +374,32 @@ def render_json(report: "AssessmentReport") -> str:
     return json.dumps(report_to_dict(report), indent=2) + "\n"
 
 
+def _csv_cell(text: str) -> str:
+    """``text`` as a CSV cell, quoted when it holds a comma, a quote, CR or LF."""
+    if re.search(r'[,"\r\n]', text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def render_csv(report: "AssessmentReport") -> str:
     lines = [",".join(_ROW_FIELDS)]
     for name, gp, gn, s, rank, label, tied in _rows(report):
-        if re.search(r'[,"\r\n]', name):  # csv.writer under a "\n" terminator leaves "\r" bare
-            name = '"' + name.replace('"', '""') + '"'
-        lines.append(f"{name},{gp!r},{gn!r},{s!r},{rank},{label},{str(tied).lower()}")
+        lines.append(f"{_csv_cell(name)},{gp!r},{gn!r},{s!r},{rank},{label},{str(tied).lower()}")
     return "\n".join(lines) + "\n"
+
+
+# report format -> renderer of (report, decimals); the first is the default
+_RENDERERS = {
+    "text": render_text,
+    "json": lambda report, decimals: render_json(report),
+    "csv": lambda report, decimals: render_csv(report),
+}
+REPORT_FORMATS = tuple(_RENDERERS)
 
 
 def emit_report(report: "AssessmentReport", config: "RunConfig", destination=None) -> None:
     """Write the report in the configured format to a path or stdout."""
-    if config.output_format == "json":
-        payload = render_json(report)
-    elif config.output_format == "csv":
-        payload = render_csv(report)
-    else:
-        payload = render_text(report, config.report_decimals)
+    payload = _RENDERERS[config.output_format](report, config.report_decimals)
     if destination is None:
         sys.stdout.write(payload)
     else:
@@ -412,12 +414,11 @@ def _slug(name: str) -> str:
     return s or "area"
 
 
-def _write_matrix(path: str, matrix: np.ndarray, row_labels, col_labels) -> None:
+def _write_matrix(path: str, matrix: np.ndarray, row_cells, header: str) -> None:
+    """One CSV file, CR LF ended, in one write; the row cells and header come quoted."""
+    rows = (f"{cell},{','.join(map(repr, row))}" for cell, row in zip(row_cells, matrix.tolist()))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([""] + list(col_labels))
-        for label, row in zip(row_labels, matrix):
-            writer.writerow([label] + [repr(float(v)) for v in row])
+        fh.write("\r\n".join([header, *rows, ""]))
 
 
 class TraceWriter:
@@ -437,9 +438,10 @@ class TraceWriter:
         if out_dir is None:
             return
         os.makedirs(out_dir, exist_ok=True)
-        ids, labels = tuple(d.id for d in inp.indices), inp.periods
-        self.axes = {(len(ids), len(labels)): (ids, labels),
-                     (len(ids) - 1, len(labels) - 1): (ids[:-1], labels[:-1])}
+        ids = [_csv_cell(d.id) for d in inp.indices]
+        labels = [_csv_cell(p) for p in inp.periods]
+        self.axes = {(len(ids), len(labels)): (ids, "," + ",".join(labels)),
+                     (len(ids) - 1, len(labels) - 1): (ids[:-1], "," + ",".join(labels[:-1]))}
         self.slugs, used = [], set()
         for k, name in enumerate(inp.area_names):
             slug = base = _slug(name)
@@ -471,9 +473,9 @@ class TraceWriter:
         self._per_area(f"coeff_{sign}", coeffs, diffs.shape[1:])
 
     def _per_area(self, name: str, matrices, shape: tuple) -> None:
-        rows, cols = self.axes[shape]
+        cells, header = self.axes[shape]
         for slug, matrix in zip(self.slugs, matrices):
-            _write_matrix(self._path(f"{slug}_{name}"), matrix, rows, cols)
+            _write_matrix(self._path(f"{slug}_{name}"), matrix, cells, header)
 
     def _path(self, name: str) -> str:
         # a plain string: pathlib would intern every one of the 6n file names

@@ -189,9 +189,10 @@ def validate_input(inp: AssessmentInput) -> AssessmentInput:
         lam_sum = float(sum(d.weight for d in inp.indices))
         if math.isfinite(lam_sum) and abs(lam_sum - 1.0) > WEIGHT_SUM_TOLERANCE:
             errors.append(f"index weights sum {lam_sum:.2f} outside tolerance")
-    if inp.time_weights.shape == (T,) and T > 0:
-        theta_sum = float(inp.time_weights.sum())
-        if math.isfinite(theta_sum) and abs(theta_sum - 1.0) > WEIGHT_SUM_TOLERANCE:
+    if inp.time_weights.shape == (T,) and T > 0 and np.isfinite(inp.time_weights).all():
+        with np.errstate(over="ignore"):  # finite weights can overflow their sum to inf
+            theta_sum = float(inp.time_weights.sum())
+        if abs(theta_sum - 1.0) > WEIGHT_SUM_TOLERANCE:
             errors.append(f"time weights sum {theta_sum:.2f} outside tolerance")
 
     values = inp.values

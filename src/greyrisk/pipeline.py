@@ -28,7 +28,7 @@ from .ranking import (
 )
 from .weighting import apply_weights, negative_ideal, positive_ideal
 
-OUTPUT_FORMATS = ("text", "json", "csv")
+MAX_REPORT_DECIMALS = 12  # the text report prints 0 to this many decimals
 
 
 @dataclass(frozen=True)
@@ -36,17 +36,17 @@ class RunConfig:
     zeroing_mode: ZeroingMode = ZeroingMode.FIRST_COLUMN
     report_decimals: int = 2
     trace_dir: str | os.PathLike | None = None  # where each stage is written as CSVs
-    output_format: str = "text"
+    output_format: str = gio.REPORT_FORMATS[0]
 
-    def validate(self) -> "RunConfig":
-        if not 0 <= self.report_decimals <= 12:
-            raise ValueError(f"report_decimals must lie in [0, 12], got {self.report_decimals}")
-        if self.output_format not in OUTPUT_FORMATS:
-            raise ValueError(
-                f"unknown output format '{self.output_format}' "
-                f"(allowed: {', '.join(OUTPUT_FORMATS)})"
-            )
-        return self
+    def __post_init__(self):
+        object.__setattr__(self, "zeroing_mode", ZeroingMode(self.zeroing_mode))
+        d = self.report_decimals
+        if type(d) is not int or not 0 <= d <= MAX_REPORT_DECIMALS:  # a bool is not an int here
+            raise ValueError(f"report_decimals must be an int in [0, {MAX_REPORT_DECIMALS}], "
+                             f"got {d!r}")
+        if self.output_format not in gio.REPORT_FORMATS:
+            raise ValueError(f"unknown output format '{self.output_format}' "
+                             f"(allowed: {', '.join(gio.REPORT_FORMATS)})")
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ def run_assessment(inp: AssessmentInput, config: RunConfig | None = None) -> Ass
     ``config.trace_dir`` set, each stage is written there as soon as it is made,
     so a run that fails a later step leaves the stages made before it.
     """
-    config = (config or RunConfig()).validate()
+    config = config or RunConfig()
     t0 = time.perf_counter()
     trace = gio.TraceWriter(config.trace_dir, inp)
 
@@ -183,4 +183,4 @@ def load_bundled_case() -> AssessmentInput:
     """The packaged three-area wildland-urban interface fire dataset."""
     ref = resources.files("greyrisk").joinpath("data/wui-case.json")
     with resources.as_file(ref) as path:
-        return gio.load_input(path, "json")
+        return gio.load_input(path)

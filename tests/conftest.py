@@ -1,9 +1,11 @@
 import csv
+import json
 
 import numpy as np
 import pytest
 
 from greyrisk import AssessmentInput, IndexDefinition, Orientation, standardize_all
+from greyrisk.io import _metadata
 from greyrisk.pipeline import load_bundled_case
 
 
@@ -48,6 +50,16 @@ def make_input(matrices, index_weights=None, time_weights=None, orientations=Non
 def standardized(inp):
     """Standardized (n, m, T) scores of an input's areas."""
     return standardize_all(inp.values.copy(), inp.indices)
+
+
+def input_to_dict(inp):
+    """An input as the json document schema."""
+    areas = zip(inp.area_names, inp.values.tolist())
+    return {**_metadata(inp), "areas": [{"name": a, "values": v} for a, v in areas]}
+
+
+def input_to_json(inp):
+    return json.dumps(input_to_dict(inp), indent=2)
 
 
 def write_bundle(root, case_dict):

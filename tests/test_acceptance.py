@@ -26,10 +26,9 @@ from greyrisk import (
     run_assessment,
     superiority_degree,
 )
-from greyrisk.io import input_to_dict, input_to_json
 from greyrisk.pipeline import load_bundled_case
 
-from conftest import make_input, standardized
+from conftest import input_to_dict, input_to_json, make_input, standardized
 from oracle import objective_H
 from test_incidence import family, volume_by_integration
 

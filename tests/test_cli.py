@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 import subprocess
@@ -8,14 +9,14 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from greyrisk import load_input
 from greyrisk.cli import main
-from greyrisk.io import input_to_json
 from greyrisk.pipeline import load_bundled_case
 
-from conftest import DEGENERATE_MATRICES, make_input, write_bundle
+from conftest import DEGENERATE_MATRICES, input_to_json, make_input, write_bundle
 
 
 @pytest.fixture
@@ -114,6 +115,25 @@ def test_overflowing_index_range_is_validation_failure(tmp_path, capsys, edit):
     assert main(["assess", "--input", str(path)]) == 1
     err = capsys.readouterr().err
     assert "index 'agri_fire_spread'" in err and "overflows float64" in err
+
+
+def _overflowing_time_weights():
+    """The bundled case's json document with every period weight 1e308."""
+    doc = json.loads(input_to_json(load_bundled_case()))
+    for period in doc["periods"]:
+        period["weight"] = 1e308
+    return doc
+
+
+def test_overflowing_time_weight_sum_is_validation_failure(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(_overflowing_time_weights()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning would reach stderr
+        assert main(["assess", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "time weights sum inf outside tolerance" in captured.err
+    assert not captured.out
 
 
 def test_parse_failure_exits_2(tmp_path, capsys):
@@ -328,4 +348,59 @@ def test_mutated_bundle_area_files_keep_the_error_contract(edited, report_format
     assert code in (0, 1, 2), err.getvalue()
     assert "Traceback" not in err.getvalue()
     assert "nan" not in out.getvalue().lower()
+    assert (code == 0) == bool(out.getvalue()) == (not err.getvalue())
+
+
+_NODE_VALUES = st.sampled_from([
+    None, True, False, 1e308, -1e308, 10**400, float("nan"), 0, -1, "", "x", "0.5", "benefit",
+    [], [0.5], [[1.0, 2.0]], {}, {"interval": [0.0, 1.0]}, {"name": "a"},
+])
+
+
+def _paths(node, path=()):
+    """The path of every node below the document's root, as keys and list indices."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def _mutated_documents(draw):
+    """The bundled case's json document with 1-3 nodes replaced."""
+    doc = json.loads(input_to_json(load_bundled_case()))
+    for _ in range(draw(st.integers(1, 3))):
+        *parents, key = draw(st.sampled_from(list(_paths(doc))))
+        node = doc
+        for k in parents:
+            node = node[k]
+        node[key] = copy.deepcopy(draw(_NODE_VALUES))  # a later edit may write inside it
+    return doc
+
+
+@given(_mutated_documents(), st.sampled_from(["text", "csv"]))
+@example(_overflowing_time_weights(), "text")
+@settings(max_examples=60, deadline=None)
+def test_mutated_json_documents_keep_the_error_contract(doc, report_format):
+    """A json document with replaced nodes exits 0-3, with no traceback, NaN or warning."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would have reached stderr
+        path = Path(tmp) / "case.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["assess", "--input", str(path), "--format", report_format])
+        # a name replaced by NaN reads "nan": only the report's numbers are checked
+        names = load_input(path).area_names if code == 0 else ()
+    assert code in (0, 1, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    report = out.getvalue()
+    for name in names:
+        report = report.replace(name, "")
+    assert "nan" not in report.lower()
     assert (code == 0) == bool(out.getvalue()) == (not err.getvalue())

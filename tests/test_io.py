@@ -31,8 +31,6 @@ from greyrisk.io import (
     compute_fingerprint,
     emit_report,
     input_from_dict,
-    input_to_dict,
-    input_to_json,
     render_csv,
     render_json,
     render_text,
@@ -40,7 +38,14 @@ from greyrisk.io import (
 )
 from greyrisk.model import OrientationKind
 
-from conftest import make_input, read_matrix, standardized, write_bundle
+from conftest import (
+    input_to_dict,
+    input_to_json,
+    make_input,
+    read_matrix,
+    standardized,
+    write_bundle,
+)
 
 # the bundled case's reports in each zeroing mode, byte for byte (JSON duration 0.0)
 GOLDEN = Path(__file__).parent / "golden"
@@ -554,3 +559,32 @@ class TestTrace:
         run_assessment(bundled_input, RunConfig(zeroing_mode=mode, trace_dir=tmp_path))
         written = tmp_path.iterdir()
         assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written} == pinned
+
+
+_LABEL_TEXT = st.text(alphabet=st.sampled_from('a,"\r\n é'), max_size=5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ids=st.lists(_LABEL_TEXT, min_size=15, max_size=15, unique=True),
+       periods=st.lists(_LABEL_TEXT, min_size=6, max_size=6))
+@example(ids=["a,b", '"q"', "a\rb", "a\nb", "a\r\nb", " é", "", "a", ",", '"', "\r", "\n",
+              "aa", "a a", 'a"a'], periods=["t,1", 't"2', "t\r3", "t\n4", "", " é"])
+def test_trace_labels_are_quoted_as_the_csv_module_quotes(bundled_input, ids, periods):
+    """Each trace file's bytes are its parsed rows written again by csv.writer, and its
+    labels parse back to the index ids and period labels."""
+    inp = dataclasses.replace(
+        bundled_input, periods=tuple(periods),
+        indices=tuple(dataclasses.replace(d, id=i) for d, i in zip(bundled_input.indices, ids)))
+    with tempfile.TemporaryDirectory() as tmp:
+        run_assessment(inp, RunConfig(trace_dir=tmp))
+        files = list(Path(tmp).iterdir())
+        assert len(files) == 22
+        for path in files:
+            text = path.read_bytes().decode("utf-8")
+            rows = list(csv.reader(io.StringIO(text, newline="")))
+            rewritten = io.StringIO(newline="")
+            csv.writer(rewritten).writerows(rows)
+            assert rewritten.getvalue() == text, path.name
+            k = len(rows) - 1  # 15 labeled rows, or 14 for a volume stage
+            assert [row[0] for row in rows[1:]] == ids[:k]
+            assert rows[0] == [""] + periods[:len(rows[0]) - 1]

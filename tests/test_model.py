@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -11,10 +12,10 @@ from greyrisk import (
     load_input,
     run_assessment,
 )
-from greyrisk.io import input_from_dict, input_to_dict, input_to_json
+from greyrisk.io import input_from_dict
 from greyrisk.model import OrientationKind, validate_input
 
-from conftest import make_input
+from conftest import input_to_dict, input_to_json, make_input
 
 
 def test_bundled_case_is_valid(bundled_input):
@@ -112,6 +113,14 @@ def test_non_positive_time_weight():
     errs = _errors(make_input, [[[1.0, 2.0], [3.0, 4.0]], [[0.0, 1.0], [2.0, 3.0]]],
                    time_weights=[1.0, 0.0])
     assert any("time weight" in e and "not positive" in e for e in errs)
+
+
+def test_overflowing_time_weight_sum_rejected():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning would reach stderr
+        errs = _errors(make_input, [[[1.0, 2.0], [3.0, 4.0]], [[0.0, 1.0], [2.0, 3.0]]],
+                       time_weights=[1e308, 1e308])
+    assert errs == ["time weights sum inf outside tolerance"]
 
 
 def test_interval_bounds_required():

@@ -208,6 +208,34 @@ class TestZeroingModes:
         report = run_assessment(bundled_input, RunConfig(zeroing_mode=ZeroingMode.NONE))
         assert report.result.config_echo["zeroing_mode"] == "none"
 
+    @pytest.mark.parametrize("mode", list(ZeroingMode), ids=lambda m: m.value)
+    def test_mode_value_runs_as_the_member(self, bundled_input, mode):
+        by_value = run_assessment(bundled_input, RunConfig(zeroing_mode=mode.value)).result
+        by_member = run_assessment(bundled_input, RunConfig(zeroing_mode=mode)).result
+        assert by_value.names == by_member.names
+        assert by_value.config_echo == by_member.config_echo
+        for key in RESULT_COLUMNS:
+            assert getattr(by_value, key).tobytes() == getattr(by_member, key).tobytes(), key
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"zeroing_mode": "bogus"},
+    {"report_decimals": True},
+    {"report_decimals": 2.5},
+    {"report_decimals": -1},
+    {"report_decimals": 13},
+    {"output_format": "xml"},
+], ids=["zeroing-bogus", "decimals-True", "decimals-2.5", "decimals--1", "decimals-13",
+        "format-xml"])
+def test_bad_config_raises_when_built(bundled_input, tmp_path, kwargs):
+    """A bad config raises ValueError before any run, so no trace file is written."""
+    with pytest.raises(ValueError):
+        RunConfig(**kwargs)
+    trace = tmp_path / "trace"
+    with pytest.raises(ValueError):
+        run_assessment(bundled_input, RunConfig(trace_dir=trace, **kwargs))
+    assert not trace.exists()
+
 
 def test_fingerprint_tracks_dataset_not_config(bundled_input):
     a = run_assessment(bundled_input)
