@@ -49,10 +49,11 @@ def build_parser() -> argparse.ArgumentParser:
     assess.add_argument("--trace-dir", default=None,
                         help="directory for intermediate-matrix CSVs")
     assess.add_argument("--zeroing", choices=[m.value for m in ZeroingMode],
-                        default=ZeroingMode.FIRST_COLUMN.value,
+                        default=RunConfig.zeroing_mode.value,
                         help="re-basing applied before volume computation")
-    assess.add_argument("--decimals", type=_decimals, default=2,
-                        help="decimals in the text report, 0-12 (default: 2)")
+    assess.add_argument("--decimals", type=_decimals, default=RunConfig.report_decimals,
+                        help=f"decimals in the text report, 0-{MAX_REPORT_DECIMALS} "
+                             "(default: %(default)s)")
 
     validate = sub.add_parser("validate", help="check a dataset without running it")
     validate.add_argument("--input", required=True)

@@ -72,19 +72,16 @@ def zeroing_image(
 ) -> np.ndarray:
     """Re-base matrices stored in the last two axes (m, T) of ``c``.
 
-    The result goes to ``out`` when given (``c`` itself is allowed), else to a
-    new array; without ``out``, NONE returns ``c`` itself rather than a copy.
+    The result goes to ``out`` when given (``c`` itself is allowed), else to a new array.
     """
     c = np.asarray(c, dtype=float)
     mode = ZeroingMode(mode)
     if mode is ZeroingMode.NONE:
-        if out is None:
-            return c
-        np.copyto(out, c)
-        return out
-    base = c[..., :1] if mode is ZeroingMode.FIRST_COLUMN else c[..., :1, :1]
-    # subtract a copy of the base: with out overlapping c, numpy would copy all of c
-    return np.subtract(c, base.copy(), out=out)
+        base = 0.0  # c - 0.0 is c bit for bit, -0.0 included
+    else:
+        # a copy of the base: with out overlapping c, numpy would copy all of c
+        base = (c[..., :1] if mode is ZeroingMode.FIRST_COLUMN else c[..., :1, :1]).copy()
+    return np.subtract(c, base, out=out)
 
 
 def local_volume(ctilde: np.ndarray) -> np.ndarray:

@@ -104,8 +104,8 @@ def _build(index_entries, period_entries, n: int, areas) -> AssessmentInput:
     (name, m x T grid) pairs of areas one at a time into one (n, m, T) array."""
     indices = [
         IndexDefinition(
-            id=str(_require(entry, "id", locus)),
-            name=str(_require(entry, "name", locus)),
+            id=_require(entry, "id", locus, str),
+            name=_require(entry, "name", locus, str),
             orientation=_parse_orientation(_require(entry, "orientation", locus), locus),
             weight=_number(_require(entry, "weight", locus), locus, "weight"),
         )
@@ -113,7 +113,7 @@ def _build(index_entries, period_entries, n: int, areas) -> AssessmentInput:
     ]
     labels, time_weights = [], []
     for locus, entry in period_entries:
-        labels.append(str(_require(entry, "label", locus)))
+        labels.append(_require(entry, "label", locus, str))
         time_weights.append(_number(_require(entry, "weight", locus), locus, "weight"))
     m, T = len(indices), len(labels)
     errors = grid_errors(m, T)
@@ -137,7 +137,7 @@ def _build(index_entries, period_entries, n: int, areas) -> AssessmentInput:
 def _json_areas(entries: list):
     for k, entry in enumerate(entries):
         locus = f"areas[{k}]"
-        name = str(_require(entry, "name", locus))
+        name = _require(entry, "name", locus, str)
         values = _require(entry, "values", locus)
         try:
             grid = np.array(values, dtype=float)
@@ -351,7 +351,7 @@ def report_to_dict(report: "AssessmentReport") -> dict:
     }
 
 
-def render_text(report: "AssessmentReport", decimals: int = 2) -> str:
+def render_text(report: "AssessmentReport", decimals: int) -> str:
     headers = ("area", "gamma+", "gamma-", "superiority", "rank", "level")
     rows = [
         (name, f"{gp:.{decimals}f}", f"{gn:.{decimals}f}", f"{s:.{decimals}f}",

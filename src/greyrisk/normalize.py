@@ -24,14 +24,12 @@ from .model import IndexDefinition, OrientationKind
 
 
 def standardize_all(values: np.ndarray, indices: Sequence[IndexDefinition]) -> np.ndarray:
-    """Standardize raw scores of shape (n, m, T) and return them.
+    """Standardize raw scores of shape (n, m, T) into a new float64 array.
 
-    A float64 array is overwritten in place; any other input is converted to
-    a new float64 array first. Index j of ``indices`` describes row j of
-    every area. Each index is standardized over all n areas and T periods
-    at once.
+    Index j of ``indices`` describes row j of every area. Each index is
+    standardized over all n areas and T periods at once.
     """
-    values = np.asarray(values, dtype=float)
+    values = np.array(values, dtype=float)
     for j, d in enumerate(indices):
         a = values[:, j, :]  # n x T view
         lo, hi = a.min(), a.max()

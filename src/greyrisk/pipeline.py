@@ -124,15 +124,15 @@ def run_assessment(inp: AssessmentInput, config: RunConfig | None = None) -> Ass
 
     mode = config.zeroing_mode
     # one working array: standardized, then weighted, then re-based in place
-    b = standardize_all(inp.values.copy(), inp.indices)
-    trace.stage("standardized", b)
-    c = apply_weights(b, lam, theta, out=b)
-    trace.stage("weighted", c)
-    c_pos, c_neg = positive_ideal(c), negative_ideal(c)
+    x = standardize_all(inp.values, inp.indices)
+    trace.stage("standardized", x)
+    apply_weights(x, lam, theta, out=x)
+    trace.stage("weighted", x)
+    c_pos, c_neg = positive_ideal(x), negative_ideal(x)
     trace.stage("positive_ideal", c_pos)
     trace.stage("negative_ideal", c_neg)
-    vol = local_volume(zeroing_image(c, mode, out=c))
-    del b, c  # both name the working array: free it before incidence
+    vol = local_volume(zeroing_image(x, mode, out=x))
+    del x  # free the working array before incidence
 
     vol_pos = local_volume(zeroing_image(c_pos, mode))
     vol_neg = local_volume(zeroing_image(c_neg, mode))

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import csv
 import io
 import json
 import subprocess
@@ -12,7 +13,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from greyrisk import load_input
 from greyrisk.cli import main
 from greyrisk.pipeline import load_bundled_case
 
@@ -193,6 +193,26 @@ def test_unencodable_name_exits_2(tmp_path, capsys, field, options):
     err = capsys.readouterr().err
     assert err.startswith("error: 'utf-8' codec can't encode character '\\ud800'")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, k, key, value", [
+    ("areas", 0, "name", None),
+    ("areas", 1, "name", 7),
+    ("indices", 0, "id", [0.5]),
+    ("periods", 2, "label", 2019),
+    ("indices", 3, "name", None),
+], ids=["area-name-null", "area-name-number", "index-id-list", "period-label-number",
+        "index-name-null"])
+def test_non_string_name_id_or_label_exits_2(tmp_path, capsys, field, k, key, value):
+    doc = json.loads(input_to_json(load_bundled_case()))
+    doc[field][k][key] = value
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(doc))
+    assert main(["assess", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {field}[{k}]: field '{key}' must be a str, "
+                            f"got {type(value).__name__}\n")
+    assert not captured.out
 
 
 @pytest.mark.parametrize("name, text", [
@@ -395,12 +415,43 @@ def test_mutated_json_documents_keep_the_error_contract(doc, report_format):
         path.write_text(json.dumps(doc), encoding="utf-8")
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["assess", "--input", str(path), "--format", report_format])
-        # a name replaced by NaN reads "nan": only the report's numbers are checked
-        names = load_input(path).area_names if code == 0 else ()
     assert code in (0, 1, 2, 3), err.getvalue()
     assert "Traceback" not in err.getvalue()
-    report = out.getvalue()
-    for name in names:
-        report = report.replace(name, "")
-    assert "nan" not in report.lower()
+    assert "nan" not in out.getvalue().lower()
+    assert (code == 0) == bool(out.getvalue()) == (not err.getvalue())
+
+
+_METADATA_CELLS = st.sampled_from([
+    "", " ", "nan", "inf", "-inf", "1e308", "-1e308", "1e400", "x", '"', '"a"', "a,b", "\r",
+    "\n", "a\r\nb", "benefit", "cost", "intermediate", "interval", "1_0", "\u0661",
+    "\ufeff", "\ufeff0.5", "\x00", "0.5", "-0",
+])
+
+
+@given(st.data(), st.sampled_from(["indices.csv", "periods.csv"]), st.sampled_from(["text", "csv"]))
+@settings(max_examples=60, deadline=None)
+def test_mutated_bundle_index_and_period_files_keep_the_error_contract(data, name, report_format):
+    """A csv bundle whose indices.csv or periods.csv has 1-3 cells edited or rows inserted
+    exits 0-3, with no traceback, NaN or warning."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would have reached stderr
+        root = Path(tmp) / "bundle"
+        write_bundle(root, json.loads(input_to_json(load_bundled_case())))
+        rows = list(csv.reader(io.StringIO((root / name).read_text(encoding="utf-8"))))
+        for _ in range(data.draw(st.integers(1, 3))):
+            k = data.draw(st.integers(0, len(rows)))
+            if k < len(rows) and rows[k] and data.draw(st.booleans()):
+                rows[k][data.draw(st.integers(0, len(rows[k]) - 1))] = data.draw(_METADATA_CELLS)
+            else:
+                width = data.draw(st.integers(0, len(rows[0]) + 1))
+                rows.insert(k, [data.draw(_METADATA_CELLS) for _ in range(width)])
+        newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+        text = "".join(",".join(cells) + newline for cells in rows)
+        (root / name).write_bytes(text.encode("utf-8"))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["assess", "--input", str(root), "--format", report_format])
+    assert code in (0, 1, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert "nan" not in out.getvalue().lower()
     assert (code == 0) == bool(out.getvalue()) == (not err.getvalue())

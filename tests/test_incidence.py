@@ -36,6 +36,12 @@ class TestZeroingImage:
         c = np.array([[3.0, 5.0], [1.0, 2.0]])
         np.testing.assert_array_equal(zeroing_image(c, ZeroingMode.NONE), c)
 
+    def test_none_returns_a_new_array_with_the_input_bytes(self):
+        c = np.array([[-0.0, 5.0], [1.0, -2.5]])
+        z = zeroing_image(c, ZeroingMode.NONE)
+        assert not np.shares_memory(z, c)
+        assert z.tobytes() == c.tobytes()
+
     def test_stacked_matrices_rebase_independently(self):
         c = np.array([[[3.0, 5.0], [1.0, 2.0]], [[7.0, 1.0], [0.0, 4.0]]])
         for mode in ZeroingMode:

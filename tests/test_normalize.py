@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -138,6 +140,23 @@ class TestStandardizeAll:
         b = standardize_all(x, [IndexDefinition("x", "x", Orientation.benefit(), 1.0)])
         np.testing.assert_array_equal(b, [[[0.0, 0.5]], [[0.25, 1.0]]])
         np.testing.assert_array_equal(x, [[[1, 3]], [[2, 5]]])
+
+    def test_float64_argument_is_left_unchanged(self, bundled_input):
+        """The result is a new array and a float64 argument keeps its bytes."""
+        kinds = [Orientation.benefit(), Orientation.cost(), Orientation.intermediate(),
+                 Orientation.interval(-2.0, 2.0)]
+        mixed = make_input((np.arange(160.0) * 37 % 101 - 50).reshape(5, 8, 4) / 10,
+                           orientations=[kinds[j % 4] for j in range(8)])
+        digests = [  # sha256 of each result, as computed when the argument was overwritten
+            (bundled_input, "833120afb1c1100cc31d14ba583fd8dd6ad1c9fff27dbdf0511da46f78275c48"),
+            (mixed, "014144256dc5b8b6dd7718ba71810c6d908f673977464371bccabab3f3fd4773"),
+        ]
+        for inp, digest in digests:
+            x = inp.values.copy()
+            b = standardize_all(x, inp.indices)
+            assert not np.shares_memory(b, x)
+            assert x.tobytes() == inp.values.tobytes()
+            assert hashlib.sha256(b.tobytes()).hexdigest() == digest
 
     def test_mixed_orientations_in_range(self):
         inp = make_input(
