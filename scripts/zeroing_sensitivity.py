@@ -6,7 +6,7 @@ every zeroing mode, next to the reference values tabulated in the source
 material. Output feeds the sensitivity table in the README.
 """
 
-from greyrisk import RunConfig, ZeroingMode, run_assessment
+from greyrisk import RiskLevel, RunConfig, ZeroingMode, run_assessment
 from greyrisk.pipeline import load_bundled_case
 
 REFERENCE = {
@@ -21,14 +21,14 @@ def main() -> None:
     print(f"{'mode':14s} {'area':7s} {'g+':>7s} {'g-':>7s} {'s':>7s} "
           f"{'rank':>4s} {'level':12s} {'dev(g+)':>8s} {'dev(g-)':>8s}")
     for mode in ZeroingMode:
-        report = run_assessment(inp, RunConfig(zeroing_mode=mode))
-        for a in sorted(report.result.areas, key=lambda r: r.name):
-            ref_gp, ref_gn, _ = REFERENCE[a.name]
-            print(f"{mode.value:14s} {a.name:7s} {a.gamma_pos:7.4f} "
-                  f"{a.gamma_neg:7.4f} {a.superiority:7.4f} {a.rank:4d} "
-                  f"{a.level.label:12s} {a.gamma_pos - ref_gp:+8.4f} "
-                  f"{a.gamma_neg - ref_gn:+8.4f}")
-        ranking = " > ".join(a.name for a in report.result.areas)
+        res = run_assessment(inp, RunConfig(zeroing_mode=mode)).result
+        rows = zip(res.names, res.gamma_pos.tolist(), res.gamma_neg.tolist(),
+                   res.superiority.tolist(), res.rank.tolist(), res.level.tolist())
+        for name, gp, gn, s, rank, level in sorted(rows, key=lambda r: r[0]):
+            ref_gp, ref_gn, _ = REFERENCE[name]
+            print(f"{mode.value:14s} {name:7s} {gp:7.4f} {gn:7.4f} {s:7.4f} {rank:4d} "
+                  f"{RiskLevel(level).label:12s} {gp - ref_gp:+8.4f} {gn - ref_gn:+8.4f}")
+        ranking = " > ".join(res.names)
         print(f"{'':14s} ranking: {ranking}\n")
     print("reference: g+ = (0.89, 0.92, 0.96), g- = (0.97, 0.93, 0.89), "
           "s = (0.46, 0.50, 0.54), ranking area3 > area2 > area1, all medium")

@@ -32,7 +32,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .incidence import IncidenceFamilyResult, grey_coefficients
 from .model import (
     AssessmentInput,
     IndexDefinition,
@@ -422,15 +421,14 @@ def _write_matrix(path: str, matrix: np.ndarray, row_cells, header: str) -> None
 
 
 class TraceWriter:
-    """Writes the stages of one run on ``inp`` to ``out_dir`` as CSVs; with
+    """Writes stage matrices of one run on ``inp`` to ``out_dir`` as CSVs; with
     ``out_dir`` None it writes nothing.
 
     Rows are labeled by index id and columns by period label. Volume-stage
     matrices are one cell smaller per axis; their rows and columns are labeled
-    by the window's upper-left index id and period. A run writes four shared
-    files (both ideal matrices and their volumes) and six files per area
-    (standardized, weighted, and each family's volume differences and grey
-    coefficients).
+    by the window's upper-left index id and period. A shared matrix is written
+    to ``<name>.csv``, an area's to ``<slug>_<name>.csv``, where the slug is the
+    lowered area name with a numeric suffix wherever two slugs would be equal.
     """
 
     def __init__(self, out_dir, inp: AssessmentInput):
@@ -452,30 +450,17 @@ class TraceWriter:
             used.add(slug)
             self.slugs.append(slug)
 
-    def stage(self, name: str, array: np.ndarray) -> None:
-        """An (m, T) or (m-1, T-1) stage as one shared file, an (n, ...) stage as
-        one file per area."""
+    def shared(self, name: str, matrix: np.ndarray) -> None:
+        """One (m, T) or (m-1, T-1) matrix of the whole run."""
+        if self.out is not None:
+            _write_matrix(self._path(name), matrix, *self.axes[matrix.shape])
+
+    def per_area(self, name: str, matrices) -> None:
+        """One (m, T) or (m-1, T-1) matrix per area, taken from ``matrices`` in area order."""
         if self.out is None:
             return
-        if array.ndim == 2:
-            _write_matrix(self._path(name), array, *self.axes[array.shape])
-        else:
-            self._per_area(name, array, array.shape[1:])
-
-    def family(self, sign: str, fam: IncidenceFamilyResult) -> None:
-        """An incidence family's volume differences, and its grey coefficients
-        rescaled from them one area at a time."""
-        if self.out is None:
-            return
-        diffs = fam.volume_diffs
-        self._per_area(f"volume_diff_{sign}", diffs, diffs.shape[1:])
-        coeffs = (grey_coefficients(d, fam.d_max, fam.d_min) for d in diffs)
-        self._per_area(f"coeff_{sign}", coeffs, diffs.shape[1:])
-
-    def _per_area(self, name: str, matrices, shape: tuple) -> None:
-        cells, header = self.axes[shape]
         for slug, matrix in zip(self.slugs, matrices):
-            _write_matrix(self._path(f"{slug}_{name}"), matrix, cells, header)
+            _write_matrix(self._path(f"{slug}_{name}"), matrix, *self.axes[matrix.shape])
 
     def _path(self, name: str) -> str:
         # a plain string: pathlib would intern every one of the 6n file names

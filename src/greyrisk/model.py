@@ -87,7 +87,7 @@ class AssessmentInput:
 
     def __post_init__(self):
         object.__setattr__(self, "indices", tuple(self.indices))
-        object.__setattr__(self, "periods", tuple(str(p) for p in self.periods))
+        object.__setattr__(self, "periods", tuple(self.periods))
         object.__setattr__(self, "area_names", tuple(self.area_names))
         for field in ("time_weights", "values"):
             arr = np.array(getattr(self, field), dtype=float)
@@ -138,6 +138,14 @@ def _check_ranges(
         )
 
 
+def _check_string(value, field: str, errors: list[str]) -> bool:
+    """Whether ``value`` is a str; if not, the error names its field and position."""
+    if isinstance(value, str):
+        return True
+    errors.append(f"{field} must be a string, got {value!r}")
+    return False
+
+
 def grid_errors(m: int, T: int) -> list[str]:
     """Violations of the smallest m x T grid an area can be scored on."""
     errors = []
@@ -158,21 +166,27 @@ def validate_input(inp: AssessmentInput) -> AssessmentInput:
     if n < 2:
         errors.append(f"n >= 2 required (ideal matrices need two areas), got n={n}")
 
+    for t, label in enumerate(inp.periods):
+        _check_string(label, f"periods[{t}]", errors)
+
     seen: set[str] = set()
-    for d in inp.indices:
-        if d.id in seen:
-            errors.append(f"duplicate index id '{d.id}'")
-        seen.add(d.id)
+    for j, d in enumerate(inp.indices):
+        _check_string(d.name, f"indices[{j}].name", errors)
+        if _check_string(d.id, f"indices[{j}].id", errors):
+            if d.id in seen:
+                errors.append(f"duplicate index id '{d.id}'")
+            seen.add(d.id)
         if not math.isfinite(d.weight) or not (0.0 < d.weight <= 1.0):
             errors.append(f"index '{d.id}': weight {d.weight!r} outside (0, 1]")
         _check_orientation(d, errors)
 
     # reports, tie flags, and trace files key rows by area name
     seen_areas: set[str] = set()
-    for name in inp.area_names:
-        if name in seen_areas:
-            errors.append(f"duplicate area name '{name}'")
-        seen_areas.add(name)
+    for k, name in enumerate(inp.area_names):
+        if _check_string(name, f"area_names[{k}]", errors):
+            if name in seen_areas:
+                errors.append(f"duplicate area name '{name}'")
+            seen_areas.add(name)
 
     if inp.time_weights.shape != (T,):
         errors.append(

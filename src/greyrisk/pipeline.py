@@ -16,7 +16,13 @@ import numpy as np
 
 from . import io as gio
 from ._meta import VERSION
-from .incidence import ZeroingMode, incidence_family, local_volume, zeroing_image
+from .incidence import (
+    ZeroingMode,
+    grey_coefficients,
+    incidence_family,
+    local_volume,
+    zeroing_image,
+)
 from .model import AssessmentInput
 from .normalize import standardize_all
 from .ranking import (
@@ -109,7 +115,10 @@ def run_assessment(inp: AssessmentInput, config: RunConfig | None = None) -> Ass
     incidence against each ideal, superiority degrees, ranking, classification
     (the input was validated when built). Errors carry the failing step. With
     ``config.trace_dir`` set, each stage is written there as soon as it is made,
-    so a run that fails a later step leaves the stages made before it.
+    so a run that fails a later step leaves the stages made before it. The trace
+    holds four shared files (both ideal matrices and their local volumes) and six
+    files per area (standardized, weighted, and toward each ideal the volume
+    differences and grey coefficients).
     """
     config = config or RunConfig()
     t0 = time.perf_counter()
@@ -125,26 +134,29 @@ def run_assessment(inp: AssessmentInput, config: RunConfig | None = None) -> Ass
     mode = config.zeroing_mode
     # one working array: standardized, then weighted, then re-based in place
     x = standardize_all(inp.values, inp.indices)
-    trace.stage("standardized", x)
+    trace.per_area("standardized", x)
     apply_weights(x, lam, theta, out=x)
-    trace.stage("weighted", x)
+    trace.per_area("weighted", x)
     c_pos, c_neg = positive_ideal(x), negative_ideal(x)
-    trace.stage("positive_ideal", c_pos)
-    trace.stage("negative_ideal", c_neg)
+    trace.shared("positive_ideal", c_pos)
+    trace.shared("negative_ideal", c_neg)
     vol = local_volume(zeroing_image(x, mode, out=x))
     del x  # free the working array before incidence
 
     vol_pos = local_volume(zeroing_image(c_pos, mode))
     vol_neg = local_volume(zeroing_image(c_neg, mode))
-    trace.stage("positive_ideal_volume", vol_pos)
-    trace.stage("negative_ideal_volume", vol_neg)
-    fam_pos = incidence_family(vol_pos, vol)
-    trace.family("pos", fam_pos)
-    gp = fam_pos.degrees
-    del fam_pos  # free D+ before D- is built
-    fam_neg = incidence_family(vol_neg, vol)
-    trace.family("neg", fam_neg)
-    gn = fam_neg.degrees
+    trace.shared("positive_ideal_volume", vol_pos)
+    trace.shared("negative_ideal_volume", vol_neg)
+    degrees = []
+    for sign, ref_vol in (("pos", vol_pos), ("neg", vol_neg)):
+        fam = incidence_family(ref_vol, vol)
+        trace.per_area(f"volume_diff_{sign}", fam.volume_diffs)
+        # rescaled one area at a time, so no (n, m-1, T-1) coefficient array is held
+        trace.per_area(f"coeff_{sign}", (grey_coefficients(d, fam.d_max, fam.d_min)
+                                         for d in fam.volume_diffs))
+        degrees.append(fam.degrees)
+        del fam  # free this family's D before the next one is built
+    gp, gn = degrees
 
     try:
         s = superiority_degree(gp, gn)

@@ -3,6 +3,7 @@ import copy
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -314,6 +315,17 @@ def test_module_invocation_smoke():
     )
     assert proc.returncode == 0
     assert "area3" in proc.stdout
+
+
+def test_zeroing_sensitivity_script_prints_the_pinned_table():
+    """The script writes README's zeroing-sensitivity table; its stdout is pinned byte for byte."""
+    repo = Path(__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(repo / "scripts" / "zeroing_sensitivity.py")],
+        capture_output=True, timeout=60, env={**os.environ, "PYTHONPATH": str(repo / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (repo / "tests" / "golden" / "zeroing-sensitivity.txt").read_bytes()
 
 
 _CELL_EDITS = st.sampled_from([

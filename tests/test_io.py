@@ -1,3 +1,4 @@
+import ast
 import copy
 import csv
 import dataclasses
@@ -588,3 +589,20 @@ def test_trace_labels_are_quoted_as_the_csv_module_quotes(bundled_input, ids, pe
             k = len(rows) - 1  # 15 labeled rows, or 14 for a volume stage
             assert [row[0] for row in rows[1:]] == ids[:k]
             assert rows[0] == [""] + periods[:len(rows[0]) - 1]
+
+
+def test_io_imports_no_numeric_stage():
+    """The file-format module writes what the pipeline hands it and computes no stage."""
+    source = Path(__file__).parents[1] / "src" / "greyrisk" / "io.py"
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            # a relative import in io.py is from the greyrisk package
+            module = ".".join(filter(None, ["greyrisk" if node.level else "", node.module]))
+            imported.add(module)
+            imported.update(f"{module}.{alias.name}" for alias in node.names)
+    stages = {f"greyrisk.{name}" for name in ("incidence", "normalize", "weighting")}
+    assert not {m for m in imported if m in stages or m.rpartition(".")[0] in stages}

@@ -82,6 +82,22 @@ def test_duplicate_area_names():
     assert any("duplicate area name 'same'" in e for e in errs)
 
 
+@pytest.mark.parametrize("bad", [7, None, ["t1"]], ids=["int", "None", "list"])
+@pytest.mark.parametrize("field", ["area_names", "periods", "id", "name"])
+def test_names_must_be_strings(field, bad):
+    """A name, id or label of another type is refused with its field and position, not
+    coerced and not left to fail later in a duplicate check or a renderer."""
+    base = make_input([np.eye(2), 2 * np.eye(2), 3 * np.eye(2)])
+    if field in ("id", "name"):
+        first = dataclasses.replace(base.indices[0], **{field: bad})
+        changes, where = {"indices": (first, *base.indices[1:])}, f"indices[0].{field}"
+    else:
+        given = getattr(base, field)
+        changes, where = {field: (given[0], bad, *given[2:])}, f"{field}[1]"
+    assert _errors(dataclasses.replace, base, **changes) == [
+        f"{where} must be a string, got {bad!r}"]
+
+
 def test_non_finite_entry_located():
     errs = _errors(make_input, [[[1.0, np.nan], [3.0, 4.0]], [[0.0, 1.0], [2.0, 3.0]]])
     msgs = [e for e in errs if "non-finite" in e]
