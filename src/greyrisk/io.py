@@ -22,11 +22,14 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
+import operator
 import os
 import re
 import sys
 import warnings
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -98,9 +101,12 @@ def _require(d: dict, key: str, locus: str, kind: type = object):
     return d[key]
 
 
-def _build(index_entries, period_entries, n: int, areas) -> AssessmentInput:
-    """Type the (locus, json entry) pairs of indices and periods, then read the n
-    (name, m x T grid) pairs of areas one at a time into one (n, m, T) array."""
+def _typed(index_entries, period_entries) -> tuple:
+    """The (locus, json entry) pairs of indices and periods typed as the first three
+    fields of an AssessmentInput: indices, period labels and time weights.
+
+    An m or T too small for any area grid is refused here, before a grid is read.
+    """
     indices = [
         IndexDefinition(
             id=_require(entry, "id", locus, str),
@@ -114,11 +120,16 @@ def _build(index_entries, period_entries, n: int, areas) -> AssessmentInput:
     for locus, entry in period_entries:
         labels.append(_require(entry, "label", locus, str))
         time_weights.append(_number(_require(entry, "weight", locus), locus, "weight"))
-    m, T = len(indices), len(labels)
-    errors = grid_errors(m, T)
-    if errors:  # no area grid can be read against a declared shape this small
+    errors = grid_errors(len(indices), len(labels))
+    if errors:
         raise ValidationError(errors)
-    values, names = np.empty((0, m, T)), []
+    return indices, labels, time_weights
+
+
+def _stack(m: int, T: int, n: int, areas) -> tuple:
+    """The n (name, m x T grid) pairs of areas, read one at a time, as the names
+    and one (n, m, T) array; every wrong-shaped grid is named in one error."""
+    errors, values, names = [], np.empty((0, m, T)), []
     for k, (name, grid) in enumerate(areas):
         names.append(name)
         if grid.shape != (m, T):
@@ -130,7 +141,38 @@ def _build(index_entries, period_entries, n: int, areas) -> AssessmentInput:
             values[k] = grid
     if errors:
         raise ValidationError(errors)
-    return AssessmentInput(indices, labels, time_weights, names, values)
+    return names, values
+
+
+def _json_grids(entries: list, m: int, T: int):
+    """The names and (n, m, T) values of the areas, read in one pass of C-level
+    checks and one ``np.fromiter``, or None.
+
+    None means some entry is not a plain {"name": str, "values": m lists of T
+    ints or floats} object, or a cell overflows float64; then ``_json_areas``
+    reads the entries again and alone decides whether they are accepted and,
+    if not, locates the error. No grid is flattened unless every shape holds.
+    """
+    if not set(map(type, entries)) <= {dict}:
+        return None
+    try:
+        names = list(map(operator.itemgetter("name"), entries))
+        grids = list(map(operator.itemgetter("values"), entries))
+    except KeyError:
+        return None
+    if not (set(map(type, names)) <= {str} and set(map(type, grids)) <= {list}
+            and set(map(len, grids)) <= {m}):
+        return None
+    rows = list(itertools.chain.from_iterable(grids))
+    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {T}
+            and set(map(type, itertools.chain.from_iterable(rows))) <= {float, int}):
+        return None  # bools and numeric strings are refused by the per-area reader
+    n = len(entries)
+    try:
+        cells = np.fromiter(itertools.chain.from_iterable(rows), float, count=n * m * T)
+    except OverflowError:  # an integer beyond float64
+        return None
+    return names, cells.reshape(n, m, T)
 
 
 def _json_areas(entries: list):
@@ -163,11 +205,16 @@ def input_from_dict(doc: dict) -> AssessmentInput:
     """Build a validated AssessmentInput from the json document schema."""
     if not isinstance(doc, dict):
         raise InputFormatError("top level must be an object")
-    indices, periods, areas = (
+    index_entries, period_entries, areas = (
         _require(doc, field, "input", list) for field in ("indices", "periods", "areas")
     )
-    return _build(_located("indices", indices), _located("periods", periods), len(areas),
-                  _json_areas(areas))
+    indices, labels, time_weights = _typed(_located("indices", index_entries),
+                                           _located("periods", period_entries))
+    m, T = len(indices), len(labels)
+    columns = _json_grids(areas, m, T)
+    if columns is None:
+        columns = _stack(m, T, len(areas), _json_areas(areas))
+    return AssessmentInput(indices, labels, time_weights, *columns)
 
 
 def _metadata(inp: AssessmentInput) -> dict:
@@ -210,6 +257,8 @@ def _load_json(path: Path) -> AssessmentInput:
         raise InputFormatError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     except ValueError as exc:  # also UnicodeDecodeError, and integers too long to convert
         raise InputFormatError(f"{path}: {exc}") from exc
+    except RecursionError as exc:
+        raise InputFormatError(f"{path}: JSON arrays or objects nested too deeply") from exc
     return input_from_dict(doc)
 
 
@@ -303,8 +352,10 @@ def _load_csv_bundle(root: Path) -> AssessmentInput:
     )
     if not area_files:
         raise InputFormatError(f"csv bundle {root}: no area files found")
-    return _build(_csv_entries(idx_path), _csv_entries(per_path), len(area_files),
-                  ((p.stem, _csv_grid(p)) for p in area_files))
+    indices, labels, time_weights = _typed(_csv_entries(idx_path), _csv_entries(per_path))
+    names, values = _stack(len(indices), len(labels), len(area_files),
+                           ((p.stem, _csv_grid(p)) for p in area_files))
+    return AssessmentInput(indices, labels, time_weights, names, values)
 
 
 _LOADERS = {"json": _load_json, "csv-bundle": _load_csv_bundle}
@@ -340,16 +391,6 @@ def _rows(report: "AssessmentReport"):
                r.rank.tolist(), map(_LEVEL_LABELS.__getitem__, r.level.tolist()), r.tied.tolist())
 
 
-def report_to_dict(report: "AssessmentReport") -> dict:
-    return {
-        "areas": [dict(zip(_ROW_FIELDS, row)) for row in _rows(report)],
-        "config": report.result.config_echo,
-        "fingerprint": report.fingerprint,
-        "version": report.version,
-        "duration_seconds": report.duration_seconds,
-    }
-
-
 def render_text(report: "AssessmentReport", decimals: int) -> str:
     headers = ("area", "gamma+", "gamma-", "superiority", "rank", "level")
     rows = [
@@ -369,8 +410,37 @@ def render_text(report: "AssessmentReport", decimals: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+# one area of the JSON report as json.dumps(..., indent=2) lays it out
+_JSON_AREA = """    {{
+      "name": {},
+      "gamma_pos": {!r},
+      "gamma_neg": {!r},
+      "superiority": {!r},
+      "rank": {},
+      "level": {},
+      "tied": {}
+    }}"""
+_JSON_LEVELS = {level.value: encode_basestring_ascii(level.label) for level in RiskLevel}
+
+
 def render_json(report: "AssessmentReport") -> str:
-    return json.dumps(report_to_dict(report), indent=2) + "\n"
+    """The report as ``json.dumps(..., indent=2)`` writes it, the areas from a row template.
+
+    Names are escaped by the function json.dumps uses, and γ± and s are written
+    by ``float.__repr__``, as json.dumps writes every finite float; each is
+    finite, as ``superiority_degree`` refuses γ outside [0, 1].
+    """
+    r = report.result
+    areas = ",\n".join([
+        _JSON_AREA.format(encode_basestring_ascii(name), gp, gn, s, rank, _JSON_LEVELS[level],
+                          "true" if tied else "false")
+        for name, gp, gn, s, rank, level, tied in zip(
+            r.names, r.gamma_pos.tolist(), r.gamma_neg.tolist(), r.superiority.tolist(),
+            r.rank.tolist(), r.level.tolist(), r.tied.tolist())
+    ])
+    rest = {"config": r.config_echo, "fingerprint": report.fingerprint,
+            "version": report.version, "duration_seconds": report.duration_seconds}
+    return '{\n  "areas": [\n' + areas + "\n  ],\n" + json.dumps(rest, indent=2)[2:] + "\n"
 
 
 def _csv_cell(text: str) -> str:

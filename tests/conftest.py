@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from greyrisk import AssessmentInput, IndexDefinition, Orientation, standardize_all
-from greyrisk.io import _metadata
+from greyrisk.io import _ROW_FIELDS, _metadata, _rows
 from greyrisk.pipeline import load_bundled_case
 
 
@@ -60,6 +60,17 @@ def input_to_dict(inp):
 
 def input_to_json(inp):
     return json.dumps(input_to_dict(inp), indent=2)
+
+
+def report_to_dict(report):
+    """A report as a dict; json.dumps of it with indent=2 is the JSON report's oracle."""
+    return {
+        "areas": [dict(zip(_ROW_FIELDS, row)) for row in _rows(report)],
+        "config": report.result.config_echo,
+        "fingerprint": report.fingerprint,
+        "version": report.version,
+        "duration_seconds": report.duration_seconds,
+    }
 
 
 def write_bundle(root, case_dict):

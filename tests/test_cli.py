@@ -178,6 +178,15 @@ def test_undecodable_input_names_path_and_exits_2(tmp_path, capsys, make):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["assess", "validate"])
+def test_deeply_nested_json_names_path_and_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    assert main([command, "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: JSON arrays or objects nested too deeply\n"
+
+
 @pytest.mark.parametrize("field, options", [
     ("areas", ["--format", "text"]),
     ("areas", ["--format", "csv"]),

@@ -10,6 +10,7 @@ import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,15 +36,16 @@ from greyrisk.io import (
     render_csv,
     render_json,
     render_text,
-    report_to_dict,
 )
 from greyrisk.model import OrientationKind
+from greyrisk.pipeline import load_bundled_case
 
 from conftest import (
     input_to_dict,
     input_to_json,
     make_input,
     read_matrix,
+    report_to_dict,
     standardized,
     write_bundle,
 )
@@ -443,6 +445,91 @@ def test_area_grid_reader_matches_cell_reader(text):
         assert _read_grid(gio._csv_grid, path) == _read_grid(gio._csv_grid_cells, path)
 
 
+# a 2-index, 3-period document without its areas
+_JSON_META = {
+    "indices": [{"id": f"e{j}", "name": f"e{j}", "orientation": "benefit", "weight": 0.5}
+                for j in range(2)],
+    "periods": [{"label": f"t{t}", "weight": 1 / 3} for t in range(3)],
+}
+_NUMBERS = st.one_of(st.floats(), st.integers(-2**70, 2**70))
+_ODD_CELLS = st.sampled_from([2**53 + 1, 10**400, -10**400, True, False, "0.5", "1", "x", None,
+                              [0.5], [], {}])
+_ODD_ROWS = st.one_of(st.lists(_NUMBERS, max_size=4), st.sampled_from([None, "x", 0.5, {}]))
+_ODD_GRIDS = st.one_of(st.lists(st.lists(_NUMBERS, min_size=3, max_size=3), max_size=3),
+                       st.sampled_from([None, "x", 0.5, [1.0, 2.0, 3.0], {}]))
+_ODD_ENTRIES = st.sampled_from([None, "x", [], [[1.0] * 3] * 2, {"name": "x"},
+                                {"values": [[1.0] * 3] * 2}])
+_ODD_NAMES = st.sampled_from([None, 1, 0.5, True, ["a"], {}])
+
+
+@st.composite
+def _json_area_lists(draw):
+    """0-4 areas of plain 2 x 3 grids of ints and floats, then 0-3 nodes replaced: a
+    cell, a row, a grid, a whole entry or a name."""
+    grid = st.lists(st.lists(_NUMBERS, min_size=3, max_size=3), min_size=2, max_size=2)
+    areas = [{"name": f"a{k}", "values": draw(grid)} for k in range(draw(st.integers(0, 4)))]
+    for _ in range(draw(st.integers(0, 3)) if areas else 0):
+        k = draw(st.integers(0, len(areas) - 1))
+        kind = draw(st.sampled_from(["cell", "row", "grid", "entry", "name"]))
+        try:
+            if kind == "cell":
+                areas[k]["values"][draw(st.integers(0, 1))][draw(st.integers(0, 2))] = draw(
+                    _ODD_CELLS)
+            elif kind == "row":
+                areas[k]["values"][draw(st.integers(0, 1))] = draw(_ODD_ROWS)
+            elif kind == "grid":
+                areas[k]["values"] = draw(_ODD_GRIDS)
+            elif kind == "entry":
+                areas[k] = draw(_ODD_ENTRIES)
+            else:
+                areas[k]["name"] = draw(_ODD_NAMES)
+        except (TypeError, KeyError, IndexError):  # an earlier edit removed the node
+            pass
+    return areas
+
+
+def _read_document(doc):
+    """What input_from_dict reads from ``doc``, or the type and message of its error."""
+    try:
+        inp = input_from_dict(doc)
+    except (InputFormatError, ValidationError) as exc:
+        return type(exc), str(exc)
+    return inp.area_names, inp.values.shape, inp.values.tobytes()
+
+
+@given(_json_area_lists())
+@settings(max_examples=300, deadline=None)
+@example([{"name": "a", "values": [[1, 2**53 + 1, 0.5], [3, 4, 5]]},
+          {"name": "b", "values": [[-0.0, 1e308, 2], [7, 8, 9]]}])
+@example([{"name": "a", "values": [[1.0, 2.0, 3.0], [4.0, 5.0, 10**400]]},
+          {"name": "b", "values": [[1.0, 2.0], [4.0, 5.0, 6.0]]}])
+@example([{"name": "a", "values": [[1.0, True, 3.0], [4.0, 5.0, 6.0]]},
+          {"name": "b", "values": [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]}])
+def test_one_pass_json_reader_matches_per_area_reader(areas):
+    """Reading every grid in one pass gives exactly what reading area by area gives."""
+    doc = {**_JSON_META, "areas": areas}
+    with mock.patch.object(gio, "_json_grids", lambda entries, m, T: None):
+        per_area = _read_document(doc)
+    assert _read_document(doc) == per_area
+
+
+def test_plain_json_documents_never_reach_the_per_area_reader(monkeypatch):
+    def refuse(entries):
+        raise AssertionError("the areas were read one at a time")
+
+    rng = np.random.default_rng(5)
+    values = rng.uniform(-1e3, 1e3, (50, 15, 6))
+    values[:, :, 0] = rng.integers(-1000, 1000, (50, 15))
+    generated = input_to_dict(make_input(values))
+    for area in generated["areas"]:  # JSON integers, as a writer may leave them
+        for row in area["values"]:
+            row[0] = int(row[0])
+    expected = load_bundled_case()
+    monkeypatch.setattr(gio, "_json_areas", refuse)
+    assert input_to_dict(load_bundled_case()) == input_to_dict(expected)
+    np.testing.assert_array_equal(input_from_dict(generated).values, values)
+
+
 class TestEmitReport:
     def test_text_rounding(self, bundled_input, capsys):
         config = RunConfig(report_decimals=2)
@@ -496,6 +583,23 @@ class TestEmitReport:
         }
         for name, text in rendered.items():
             assert text.encode("utf-8") == (GOLDEN / name).read_bytes(), name
+
+    # The identity holds because every float in a report is finite, where json.dumps
+    # writes float.__repr__: superiority_degree refuses a gamma outside [0, 1].
+    @settings(max_examples=100, deadline=None)
+    @given(names=st.lists(st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\u2028\u00e9'),
+                                            st.characters()), max_size=8),
+                          min_size=3, max_size=3, unique=True),
+           tie=st.booleans(), duration=st.floats(allow_nan=False, allow_infinity=False))
+    @example(names=['"q"', "a\\b", "\u2028\x00\u00e9"], tie=True, duration=0.0)
+    def test_json_report_is_json_dumps_of_the_report(self, bundled_input, names, tie, duration):
+        values = bundled_input.values.copy()
+        if tie:
+            values[2] = values[0]
+        inp = dataclasses.replace(bundled_input, area_names=tuple(names), values=values)
+        report = dataclasses.replace(run_assessment(inp), duration_seconds=duration)
+        assert report.result.tied.any() == tie
+        assert render_json(report) == json.dumps(report_to_dict(report), indent=2) + "\n"
 
     def test_unwritable_destination_raises_oserror(self, bundled_input, tmp_path):
         config = RunConfig()

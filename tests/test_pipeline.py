@@ -17,11 +17,11 @@ from greyrisk import (
     ZeroingMode,
     run_assessment,
 )
-from greyrisk.io import render_csv, render_json, render_text, report_to_dict
+from greyrisk.io import render_csv, render_json, render_text
 from greyrisk.pipeline import AreaAssessment, load_bundled_case
 
 import oracle
-from conftest import make_input, read_matrix
+from conftest import make_input, read_matrix, report_to_dict
 
 # frozen full-precision results for the bundled case under the default
 # configuration (regression anchors; the case's reference tabulation
