@@ -119,11 +119,27 @@ def _check_orientation(d: IndexDefinition, errors: list[str]) -> None:
         )
 
 
+def index_extrema(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The minimum and maximum of each index of an (n, m, T) array over all
+    areas and periods, equal bit for bit to ``values[:, j, :].min()`` and ``.max()``.
+
+    Reducing the area axis first gives numpy contiguous inner loops; reducing
+    axes 0 and 2 at once leaves it loops only T long. Which of 0.0 and -0.0 a
+    reduction returns depends on its order, so a zero extremum is taken again
+    from the index's own values.
+    """
+    lows, highs = values.min(axis=0).min(axis=1), values.max(axis=0).max(axis=1)
+    for extrema, reduce in ((lows, np.min), (highs, np.max)):
+        for j in np.flatnonzero(extrema == 0.0):
+            extrema[j] = reduce(values[:, j, :])
+    return lows, highs
+
+
 def _check_ranges(
     indices: tuple[IndexDefinition, ...], values: np.ndarray, errors: list[str]
 ) -> None:
     """Standardization divides by each index's range; it must be a finite float."""
-    lows, highs = values.min(axis=(0, 2)), values.max(axis=(0, 2))
+    lows, highs = index_extrema(values)
     for j, d in enumerate(indices):
         if d.orientation.kind is OrientationKind.INTERVAL:
             for v in (d.orientation.interval_low, d.orientation.interval_high):
@@ -181,12 +197,14 @@ def validate_input(inp: AssessmentInput) -> AssessmentInput:
         _check_orientation(d, errors)
 
     # reports, tie flags, and trace files key rows by area name
-    seen_areas: set[str] = set()
-    for k, name in enumerate(inp.area_names):
-        if _check_string(name, f"area_names[{k}]", errors):
-            if name in seen_areas:
-                errors.append(f"duplicate area name '{name}'")
-            seen_areas.add(name)
+    names = inp.area_names
+    if not (set(map(type, names)) <= {str} and len(set(names)) == n):
+        seen_areas: set[str] = set()  # only this loop locates a failed check
+        for k, name in enumerate(names):
+            if _check_string(name, f"area_names[{k}]", errors):
+                if name in seen_areas:
+                    errors.append(f"duplicate area name '{name}'")
+                seen_areas.add(name)
 
     if inp.time_weights.shape != (T,):
         errors.append(

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import IndexDefinition, OrientationKind
+from .model import IndexDefinition, OrientationKind, index_extrema
 
 
 def standardize_all(values: np.ndarray, indices: Sequence[IndexDefinition]) -> np.ndarray:
@@ -30,9 +30,10 @@ def standardize_all(values: np.ndarray, indices: Sequence[IndexDefinition]) -> n
     standardized over all n areas and T periods at once.
     """
     values = np.array(values, dtype=float)
+    lows, highs = index_extrema(values)
     for j, d in enumerate(indices):
         a = values[:, j, :]  # n x T view
-        lo, hi = a.min(), a.max()
+        lo, hi = lows[j], highs[j]
         span = hi - lo
         kind = d.orientation.kind
         if kind is OrientationKind.BENEFIT:

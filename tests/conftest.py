@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 
 import numpy as np
@@ -104,6 +105,16 @@ DEGENERATE_MATRICES = (
     [[3.0, 6.0], [3.0, 0.0]],
     [[2.0, 4.0], [6.0, 5.0]],
 )
+
+
+@pytest.fixture(autouse=True)
+def collector_left_enabled():
+    """Fail a test that leaves the cyclic garbage collector disabled, and enable it,
+    so that a leaked pause cannot change how much memory later tests hold."""
+    yield
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail("the test left the cyclic garbage collector disabled")
 
 
 @pytest.fixture(scope="session")

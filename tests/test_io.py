@@ -2,6 +2,7 @@ import ast
 import copy
 import csv
 import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -195,6 +196,74 @@ class TestLoadJson:
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(InputFormatError, match="unknown input format"):
             load_input(tmp_path / "x.json", "yaml")
+
+
+def _collector_cases(tmp_path, case_dict):
+    """(path, the error load_input raises or None) for each way a JSON load can end."""
+    docs = {"valid": case_dict, "wrong-shape": copy.deepcopy(case_dict),
+            "per-area": copy.deepcopy(case_dict)}
+    for row in docs["wrong-shape"]["areas"][1]["values"]:
+        row.append(1.0)
+    docs["per-area"]["areas"][1]["values"][0][0] = True
+    texts = {name: json.dumps(doc) for name, doc in docs.items()}
+    texts.update({"malformed": '{"indices": [,]}', "deep": "[" * 200_000 + "]" * 200_000})
+    errors = {"valid": None, "wrong-shape": ValidationError, "per-area": InputFormatError,
+              "malformed": InputFormatError, "deep": InputFormatError}
+    for name, text in texts.items():
+        (tmp_path / f"{name}.json").write_text(text)
+    return {name: (tmp_path / f"{name}.json", errors[name]) for name in texts}
+
+
+class TestCollectorPause:
+    """A JSON dataset is parsed and typed with the cyclic garbage collector disabled."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_load_leaves_the_collector_as_it_found_it(self, tmp_path, case_dict, enabled,
+                                                      monkeypatch):
+        per_area = []
+        monkeypatch.setattr(gio, "_json_areas",
+                            lambda entries, read=gio._json_areas: per_area.append(1) or
+                            read(entries))
+        for name, (path, error) in _collector_cases(tmp_path, case_dict).items():
+            (gc.enable if enabled else gc.disable)()
+            try:
+                if error is None:
+                    load_input(path)
+                else:
+                    with pytest.raises(error):
+                        load_input(path)
+                assert gc.isenabled() is enabled, name
+            finally:
+                gc.enable()
+        assert len(per_area) == 2  # the wrong-shaped grid and the true cell
+
+    def test_collector_is_paused_while_the_document_is_typed(self, tmp_path, case_dict,
+                                                             monkeypatch):
+        seen = []
+        monkeypatch.setattr(gio, "input_from_dict",
+                            lambda doc, typed=gio.input_from_dict: seen.append(gc.isenabled())
+                            or typed(doc))
+        path, _ = _collector_cases(tmp_path, case_dict)["valid"]
+        load_input(path)
+        assert seen == [False] and gc.isenabled()
+
+    def test_reading_a_json_dataset_runs_no_collection(self, tmp_path):
+        values = np.random.default_rng(3).uniform(0.0, 100.0, (2000, 15, 6))
+        path = tmp_path / "areas.json"
+        path.write_text(input_to_json(make_input(values)))
+        starts = []
+
+        def record(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        gc.collect()  # so that no count left by earlier allocations comes due in the load
+        gc.callbacks.append(record)
+        try:
+            load_input(path)
+        finally:
+            gc.callbacks.remove(record)
+        assert starts == []
 
 
 @st.composite

@@ -3,6 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from greyrisk import (
     AssessmentInput,
@@ -13,7 +16,7 @@ from greyrisk import (
     run_assessment,
 )
 from greyrisk.io import input_from_dict
-from greyrisk.model import OrientationKind, validate_input
+from greyrisk.model import OrientationKind, index_extrema, validate_input
 
 from conftest import input_to_dict, input_to_json, make_input
 
@@ -80,6 +83,34 @@ def test_duplicate_area_names():
     errs = _errors(make_input, [[[1.0, 2.0], [3.0, 4.0]], [[0.0, 1.0], [2.0, 3.0]]],
                    names=["same", "same"])
     assert any("duplicate area name 'same'" in e for e in errs)
+
+
+def test_duplicate_and_non_string_area_names_are_located_in_order():
+    """A failed set check falls back to the located loop, which keeps each message and
+    its order: a non-string name is not counted as a duplicate."""
+    values = [k * np.eye(2) for k in range(1, 6)]
+    assert _errors(make_input, values, names=["a", 7, "a", None, 7]) == [
+        "area_names[1] must be a string, got 7",
+        "duplicate area name 'a'",
+        "area_names[3] must be a string, got None",
+        "area_names[4] must be a string, got 7",
+    ]
+
+
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                -2.2250738585072014e-308, 1e308, -1e308, 1.0, -1.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=3, max_dims=3, max_side=7),
+                  elements=st.one_of(_EDGE_FLOATS, st.floats(allow_nan=False))))
+def test_index_extrema_equal_each_index_reduced_alone(values):
+    """Bit for bit, including which of 0.0 and -0.0 is returned."""
+    lows, highs = index_extrema(values)
+    assert lows.tobytes() == b"".join(values[:, j, :].min().tobytes()
+                                      for j in range(values.shape[1]))
+    assert highs.tobytes() == b"".join(values[:, j, :].max().tobytes()
+                                       for j in range(values.shape[1]))
 
 
 @pytest.mark.parametrize("bad", [7, None, ["t1"]], ids=["int", "None", "list"])
