@@ -63,7 +63,7 @@ class IncidenceFamilyResult:
 
 def _blocks(n: int, cells: int):
     """Slices of consecutive areas, each of at most BLOCK_CELLS cells and one area at least."""
-    step = max(1, BLOCK_CELLS // cells)
+    step = max(1, BLOCK_CELLS // max(1, cells))
     return (slice(k, k + step) for k in range(0, n, step))
 
 
@@ -94,15 +94,12 @@ def local_volume(ctilde: np.ndarray) -> np.ndarray:
     z = np.asarray(ctilde, dtype=float)
     if z.ndim < 2 or z.shape[-2] < 2 or z.shape[-1] < 2:
         raise ValueError(f"local volume needs at least a 2x2 matrix, got shape {z.shape}")
-    # (z00 + z11) / 6 + (z10 + z01) / 3, the second term built one block of areas at a time
+    # (z00 + z11) / 6 + (z10 + z01) / 3
     vol = z[..., :-1, :-1] + z[..., 1:, 1:]
     vol /= 6.0
-    stacked, stacked_vol = (z, vol) if z.ndim > 2 else (z[None], vol[None])
-    for block in _blocks(len(stacked), math.prod(stacked.shape[1:])):
-        anti = stacked[block, ..., 1:, :-1] + stacked[block, ..., :-1, 1:]
-        anti /= 3.0
-        acc = stacked_vol[block]  # a view, so += writes into vol
-        acc += anti
+    anti = z[..., 1:, :-1] + z[..., :-1, 1:]
+    anti /= 3.0
+    vol += anti
     return vol
 
 
@@ -118,6 +115,52 @@ def grey_coefficients(diffs: np.ndarray, d_max: float, d_min: float) -> np.ndarr
     return (d_max - diffs) / (d_max - d_min)
 
 
+def _volume_diffs(reference_volume: np.ndarray, volumes: np.ndarray):
+    """D = |V - V0| one block of areas at a time: yields (block, D of the block's areas)."""
+    for block in _blocks(len(volumes), reference_volume.size):
+        diffs = volumes[block] - reference_volume
+        yield block, np.abs(diffs, out=diffs)
+
+
+def incidence_degrees(
+    reference_volume: np.ndarray, volumes: np.ndarray
+) -> tuple[float, float, np.ndarray]:
+    """(d_max, d_min, degrees) of every area against the reference, with no D held whole.
+
+    Two passes over the blocks of areas: the first folds the extreme differences
+    d_max and d_min, the second averages each area's grey coefficients. Max and min
+    are exact, so the result does not depend on where the blocks end.
+    """
+    d_max, d_min = -math.inf, math.inf
+    for _, diffs in _volume_diffs(reference_volume, volumes):
+        d_max, d_min = max(d_max, float(diffs.max())), min(d_min, float(diffs.min()))
+    degrees = np.empty(len(volumes))
+    for block, diffs in _volume_diffs(reference_volume, volumes):
+        degrees[block] = grey_coefficients(diffs, d_max, d_min).mean(axis=(-2, -1))
+    return d_max, d_min, degrees
+
+
+def area_volume_diffs(reference_volume: np.ndarray, volumes: np.ndarray):
+    """Each area's D in area order, made one block at a time as ``incidence_degrees`` makes it."""
+    for _, diffs in _volume_diffs(reference_volume, volumes):
+        yield from diffs
+
+
+def local_volumes_in_place(z: np.ndarray) -> np.ndarray:
+    """Local volumes of (n, m, T) zeroed matrices, written over the front of ``z``'s buffer.
+
+    ``z`` is consumed: the (n, m-1, T-1) result is a view of its first n(m-1)(T-1)
+    cells (of a copy, if ``z`` is not C-contiguous). Each block's volumes are made
+    from its matrices before they are written, and end before the next block's
+    matrices begin, because (m-1)(T-1) < m*T.
+    """
+    n, m, T = z.shape
+    vol = z.reshape(-1)[: n * (m - 1) * (T - 1)].reshape(n, m - 1, T - 1)
+    for block in _blocks(n, m * T):
+        vol[block] = local_volume(z[block])
+    return vol
+
+
 def incidence_family(reference_volume: np.ndarray, volumes: np.ndarray) -> IncidenceFamilyResult:
     """Volumetric incidence degree of every area against the reference.
 
@@ -131,10 +174,8 @@ def incidence_family(reference_volume: np.ndarray, volumes: np.ndarray) -> Incid
         raise ValueError(f"shape mismatch: volumes {vols.shape} vs reference {ref.shape}")
     if len(vols) == 0:
         raise ValueError("at least one area required")
-    diffs = vols - ref
-    np.abs(diffs, out=diffs)
-    d_max, d_min = float(diffs.max()), float(diffs.min())
-    degrees = np.empty(len(diffs))
-    for block in _blocks(len(diffs), ref.size):
-        degrees[block] = grey_coefficients(diffs[block], d_max, d_min).mean(axis=(-2, -1))
+    d_max, d_min, degrees = incidence_degrees(ref, vols)
+    diffs = np.empty(vols.shape)
+    for block, block_diffs in _volume_diffs(ref, vols):
+        diffs[block] = block_diffs
     return IncidenceFamilyResult(volume_diffs=diffs, d_max=d_max, d_min=d_min, degrees=degrees)

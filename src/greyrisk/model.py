@@ -125,12 +125,16 @@ def index_extrema(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Reducing the area axis first gives numpy contiguous inner loops; reducing
     axes 0 and 2 at once leaves it loops only T long. Which of 0.0 and -0.0 a
-    reduction returns depends on its order, so a zero extremum is taken again
-    from the index's own values.
+    reduction returns depends on its order when an index holds both, so a zero
+    extremum of an index that holds a -0.0 is taken again from the index's own
+    values. -0.0 is the only float64 whose bits read as the int64 minimum, so one
+    integer reduction finds those indices.
     """
     lows, highs = values.min(axis=0).min(axis=1), values.max(axis=0).max(axis=1)
+    bits = values.view(np.int64)
+    holds_neg_zero = bits.min(axis=0).min(axis=1) == np.iinfo(np.int64).min
     for extrema, reduce in ((lows, np.min), (highs, np.max)):
-        for j in np.flatnonzero(extrema == 0.0):
+        for j in np.flatnonzero((extrema == 0.0) & holds_neg_zero):
             extrema[j] = reduce(values[:, j, :])
     return lows, highs
 
@@ -232,10 +236,13 @@ def validate_input(inp: AssessmentInput) -> AssessmentInput:
         got = "x".join(str(k) for k in values.shape)
         errors.append(f"values: expected {n}x{m}x{T} array, got {got}")
     elif values.size:
-        finite = np.isfinite(values)
-        area_finite = finite.all(axis=(1, 2))
+        # NaN and +-inf carry through min and max, so no (n, m, T) mask is built;
+        # some numpy builds flag a NaN met by a min or max reduction as invalid
+        with np.errstate(invalid="ignore"):
+            area_finite = (np.isfinite(values.min(axis=(1, 2)))
+                           & np.isfinite(values.max(axis=(1, 2))))
         for k in np.flatnonzero(~area_finite):
-            j, t = np.argwhere(~finite[k])[0]
+            j, t = np.argwhere(~np.isfinite(values[k]))[0]
             errors.append(
                 f"area '{inp.area_names[k]}': non-finite value at index "
                 f"'{inp.indices[j].id}', period '{inp.periods[t]}'"

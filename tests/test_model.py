@@ -113,6 +113,19 @@ def test_index_extrema_equal_each_index_reduced_alone(values):
                                        for j in range(values.shape[1]))
 
 
+def test_index_extrema_keep_the_sign_of_a_zero_in_fixed_cases():
+    """Index 0 holds both zeros, and its minimum reduced over areas first would be +0.0;
+    index 1 holds only +0.0 and index 2 only -0.0. Each extremum is its index reduced alone."""
+    values = np.array([[[0.0, 1.0, 0.0], [0.0, 2.0, 0.0], [-0.0, -1.0, -0.0]],
+                       [[-0.0, 1.0, 1.0], [3.0, 0.0, 4.0], [-2.0, -0.0, -0.0]]])
+    lows, highs = index_extrema(values)
+    for j in range(3):
+        assert lows[j].tobytes() == values[:, j, :].min().tobytes(), j
+        assert highs[j].tobytes() == values[:, j, :].max().tobytes(), j
+    assert lows[1] == 0.0 and not np.signbit(lows[1])
+    assert highs[2] == 0.0 and np.signbit(highs[2])
+
+
 @pytest.mark.parametrize("bad", [7, None, ["t1"]], ids=["int", "None", "list"])
 @pytest.mark.parametrize("field", ["area_names", "periods", "id", "name"])
 def test_names_must_be_strings(field, bad):
@@ -133,6 +146,17 @@ def test_non_finite_entry_located():
     errs = _errors(make_input, [[[1.0, np.nan], [3.0, 4.0]], [[0.0, 1.0], [2.0, 3.0]]])
     msgs = [e for e in errs if "non-finite" in e]
     assert msgs and "area1" in msgs[0] and "'e1'" in msgs[0] and "'t2'" in msgs[0]
+
+
+def test_non_finite_entries_in_three_areas_are_located_in_order():
+    grid = np.arange(6.0).reshape(2, 3)
+    values = np.stack([grid, grid + 1.0, grid + 2.0, grid + 3.0])
+    values[1, 1, 2], values[2, 0, 1], values[3, 1, 0] = np.nan, np.inf, -np.inf
+    assert _errors(make_input, values) == [
+        "area 'area2': non-finite value at index 'e2', period 't3'",
+        "area 'area3': non-finite value at index 'e1', period 't2'",
+        "area 'area4': non-finite value at index 'e2', period 't1'",
+    ]
 
 
 def test_shape_mismatch_names_area_and_dims():
