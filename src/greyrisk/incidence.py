@@ -103,16 +103,23 @@ def local_volume(ctilde: np.ndarray) -> np.ndarray:
     return vol
 
 
-def grey_coefficients(diffs: np.ndarray, d_max: float, d_min: float) -> np.ndarray:
+def grey_coefficients(
+    diffs: np.ndarray, d_max: float, d_min: float, out: np.ndarray | None = None
+) -> np.ndarray:
     """G = (d_max - D) / (d_max - d_min), or all ones when d_max = d_min.
 
     The degenerate branch covers d_max = 0 (every area matches the reference
     exactly) and d_max = d_min != 0 (all differences equal, so no
-    discrimination is possible).
+    discrimination is possible). The result goes to ``out`` when given
+    (``diffs`` itself is allowed), else to a new array.
     """
     if d_max == d_min:
-        return np.ones_like(diffs)
-    return (d_max - diffs) / (d_max - d_min)
+        if out is None:
+            return np.ones_like(diffs)
+        out.fill(1.0)
+        return out
+    g = np.subtract(d_max, diffs, out=out)
+    return np.divide(g, d_max - d_min, out=g)
 
 
 def _volume_diffs(reference_volume: np.ndarray, volumes: np.ndarray):
@@ -136,7 +143,7 @@ def incidence_degrees(
         d_max, d_min = max(d_max, float(diffs.max())), min(d_min, float(diffs.min()))
     degrees = np.empty(len(volumes))
     for block, diffs in _volume_diffs(reference_volume, volumes):
-        degrees[block] = grey_coefficients(diffs, d_max, d_min).mean(axis=(-2, -1))
+        degrees[block] = grey_coefficients(diffs, d_max, d_min, out=diffs).mean(axis=(-2, -1))
     return d_max, d_min, degrees
 
 
@@ -146,18 +153,20 @@ def area_volume_diffs(reference_volume: np.ndarray, volumes: np.ndarray):
         yield from diffs
 
 
-def local_volumes_in_place(z: np.ndarray) -> np.ndarray:
-    """Local volumes of (n, m, T) zeroed matrices, written over the front of ``z``'s buffer.
+def local_volumes_in_place(z: np.ndarray, mode: ZeroingMode) -> np.ndarray:
+    """Local volumes of (n, m, T) matrices re-based by ``mode``, written over ``z``'s buffer.
 
     ``z`` is consumed: the (n, m-1, T-1) result is a view of its first n(m-1)(T-1)
-    cells (of a copy, if ``z`` is not C-contiguous). Each block's volumes are made
-    from its matrices before they are written, and end before the next block's
-    matrices begin, because (m-1)(T-1) < m*T.
+    cells (of a copy, if ``z`` is not C-contiguous). Each block of areas is re-based
+    in place and its volumes are made from it before they are written; they end
+    before the next block's matrices begin, because (m-1)(T-1) < m*T.
     """
     n, m, T = z.shape
+    z = np.ascontiguousarray(z)
     vol = z.reshape(-1)[: n * (m - 1) * (T - 1)].reshape(n, m - 1, T - 1)
     for block in _blocks(n, m * T):
-        vol[block] = local_volume(z[block])
+        zb = z[block]
+        vol[block] = local_volume(zeroing_image(zb, mode, out=zb))
     return vol
 
 

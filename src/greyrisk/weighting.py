@@ -27,8 +27,10 @@ def apply_weights(
             f"dimension mismatch: scores {b.shape} vs {lam.size} index weights "
             f"and {theta.size} time weights"
         )
-    c = np.multiply(lam[:, None], b, out=out)
-    return np.multiply(c, theta, out=c)
+    # both weights as (m, T) arrays, so that numpy runs one m*T-long inner loop per matrix
+    m, T = b.shape[-2:]
+    c = np.multiply(np.repeat(lam, T).reshape(m, T), b, out=out)
+    return np.multiply(c, np.tile(theta, m).reshape(m, T), out=c)
 
 
 def positive_ideal(c: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from greyrisk import ZeroingMode
-from greyrisk.model import AssessmentInput, OrientationKind
+from greyrisk.model import AssessmentInput, IndexDefinition, OrientationKind, index_extrema
 from greyrisk.ranking import RISK_THRESHOLDS, DegenerateAssessmentError, RiskLevel
 
 
@@ -202,3 +202,54 @@ def assess(inp: AssessmentInput, mode: ZeroingMode = ZeroingMode.FIRST_COLUMN) -
          "superiority": s, "rank": rank, "level": classify(s), "tied": tied}
         for name, s, rank, tied in ranked
     ]
+
+
+# --- earlier whole-array forms of the vectorized stages --------------------
+# The library's standardization, weighting and re-basing were rewritten to take
+# fewer and longer numpy passes; these are the plainer forms they replaced, and
+# the rewrites must give the same bits.
+
+def standardize_by_row(values: np.ndarray, indices: Sequence[IndexDefinition]) -> np.ndarray:
+    """Standardized (n, m, T) scores, one index row at a time, with ``np.median``."""
+    values = np.array(values, dtype=float)
+    lows, highs = index_extrema(values)
+    for j, d in enumerate(indices):
+        a = values[:, j, :]
+        lo, hi = lows[j], highs[j]
+        span = hi - lo
+        kind = d.orientation.kind
+        if kind is OrientationKind.BENEFIT:
+            a[...] = 0.5 if span == 0.0 else (a - lo) / span
+        elif kind is OrientationKind.COST:
+            a[...] = 0.5 if span == 0.0 else 1.0 - (a - lo) / span
+        elif kind is OrientationKind.INTERMEDIATE:
+            dev = np.abs(a - np.median(a, axis=0))
+            max_dev = dev.max()
+            a[...] = 1.0 if max_dev == 0.0 else 1.0 - dev / max_dev
+        else:
+            low, high = d.orientation.interval_low, d.orientation.interval_high
+            den = max(low - lo, hi - high)
+            if den <= 0.0:
+                a[...] = 1.0
+            else:
+                a[...] = np.where(a < low, 1.0 - (low - a) / den,
+                                  np.where(a > high, 1.0 - (a - high) / den, 1.0))
+    return values
+
+
+def weigh_by_broadcast(b: np.ndarray, index_weights, time_weights) -> np.ndarray:
+    """lambda_j * B[j, t], then times theta_t, with both weights broadcast."""
+    lam = np.asarray(index_weights, dtype=float)
+    return np.multiply(lam[:, None], b) * np.asarray(time_weights, dtype=float)
+
+
+def rebased_volumes(c: np.ndarray, mode: ZeroingMode) -> np.ndarray:
+    """Local volumes of (n, m, T) matrices re-based as one whole array."""
+    if mode is ZeroingMode.FIRST_COLUMN:
+        z = c - c[..., :1]
+    elif mode is ZeroingMode.FIRST_ELEMENT:
+        z = c - c[..., :1, :1]
+    else:
+        z = c - 0.0
+    return ((z[..., :-1, :-1] + z[..., 1:, 1:]) / 6.0
+            + (z[..., 1:, :-1] + z[..., :-1, 1:]) / 3.0)

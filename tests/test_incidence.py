@@ -252,6 +252,17 @@ def test_zeroing_in_place_matches_new_array(c, mode):
     assert work.tobytes() == expected.tobytes()
 
 
+@given(stacked_matrices, st.sampled_from(["spread", "equal"]))
+@settings(max_examples=40, deadline=None)
+def test_grey_coefficients_in_place_match_new_array(d, kind):
+    d = np.abs(d)
+    d_max, d_min = (float(d.max()), float(d.min())) if kind == "spread" else (2.5, 2.5)
+    expected = grey_coefficients(d, d_max, d_min)
+    work = d.copy()
+    assert grey_coefficients(work, d_max, d_min, out=work) is work
+    assert work.tobytes() == expected.tobytes()
+
+
 @given(stacked_matrices, st.integers(1, 40))
 @settings(max_examples=60, deadline=None)
 def test_blockwise_volume_matches_one_shot(z, block_cells):
@@ -262,24 +273,26 @@ def test_blockwise_volume_matches_one_shot(z, block_cells):
     assert single.tobytes() == one_shot_volume(z[0]).tobytes()
 
 
-@given(stacked_matrices, st.integers(1, 40))
+@given(stacked_matrices, st.integers(1, 40), mode_strategy)
 @settings(max_examples=60, deadline=None)
-def test_volumes_over_the_matrices_match_one_shot(z, block_cells):
-    """Each block's volumes land on the front of the consumed matrices' own buffer."""
+def test_volumes_over_the_matrices_match_one_shot(z, block_cells, mode):
+    """Each block is re-based in place and its volumes land on the front of the
+    consumed matrices' own buffer."""
     work = z.copy()
     with mock.patch.object(incidence, "BLOCK_CELLS", block_cells):
-        vol = local_volumes_in_place(work)
+        vol = local_volumes_in_place(work, mode)
     assert np.shares_memory(vol, work)
-    assert vol.tobytes() == one_shot_volume(z).tobytes()
+    assert vol.tobytes() == one_shot_volume(zeroing_image(z, mode)).tobytes()
 
 
 def test_volumes_of_a_non_contiguous_array_leave_it_whole():
     z = np.arange(60.0).reshape(3, 4, 5) ** 1.5
-    fortran = np.asfortranarray(z)
-    vol = local_volumes_in_place(fortran)
-    assert not np.shares_memory(vol, fortran)
-    assert fortran.tobytes(order="C") == z.tobytes()
-    assert vol.tobytes() == one_shot_volume(z).tobytes()
+    for mode in ZeroingMode:
+        fortran = np.asfortranarray(z)
+        vol = local_volumes_in_place(fortran, mode)
+        assert not np.shares_memory(vol, fortran)
+        assert fortran.tobytes(order="C") == z.tobytes()
+        assert vol.tobytes() == one_shot_volume(zeroing_image(z, mode)).tobytes()
 
 
 @given(stacked_matrices, st.integers(1, 40),

@@ -1,6 +1,9 @@
 
+import contextlib
 import dataclasses
+import sys
 import tempfile
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -8,17 +11,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from greyrisk import (
     AssessmentInput,
     DegenerateAssessmentError,
+    IndexDefinition,
     Orientation,
     RiskLevel,
     RunConfig,
     ZeroingMode,
+    apply_weights,
+    cli,
     incidence,
+    pipeline,
     run_assessment,
+    standardize_all,
 )
+from greyrisk import io as gio
+from greyrisk.incidence import local_volumes_in_place
 from greyrisk.io import render_csv, render_json, render_text
 from greyrisk.pipeline import AreaAssessment, load_bundled_case
 
@@ -341,17 +352,166 @@ def _run_peak_in_inputs(n, m, T, config):
 @pytest.mark.parametrize("n, m, T", [(2000, 15, 6), (500, 50, 24)])
 def test_untraced_run_peak_stays_under_two_and_a_half_inputs(n, m, T):
     """Beside the input a run holds one working array, whose front the local volumes
-    overwrite, and temporaries of one block of areas; the bound is 2.0 inputs."""
+    overwrite, and temporaries of one block of areas; the bound is 1.55 inputs."""
     ratio = _run_peak_in_inputs(n, m, T, RunConfig())
-    assert ratio <= 2.0, ratio
+    assert ratio <= 1.55, ratio
 
 
 @pytest.mark.parametrize("n, m, T", [(2000, 15, 6), (500, 50, 24)])
 def test_traced_run_peak_stays_under_three_and_a_half_inputs(n, m, T, tmp_path):
     """A traced run writes each stage from the working array or one block at a time, so
-    it keeps no stage; the bound is 2.0 inputs."""
+    it keeps no stage; the bound is 1.65 inputs."""
     ratio = _run_peak_in_inputs(n, m, T, RunConfig(trace_dir=tmp_path))
-    assert ratio <= 2.0, ratio
+    assert ratio <= 1.65, ratio
+
+
+# --- the stages against their earlier whole-array forms ---------------------
+
+STAGE_CELLS = [-0.0, 0.0, -1.0, 1.0, 2.5, 4.0]  # also the finite interval bounds below
+
+
+@st.composite
+def stage_inputs(draw):
+    """(values, indices, index weights, time weights) with odd and even n (n = 2 among
+    them), ties, both zeros and scores on the interval bounds. A row may be constant,
+    which degenerates it for every orientation. An interval row's scores may be clipped
+    into its bounds, which gives den = 0 when they reach the lower one; the interval
+    [-10, 10] holds every score, so its den < 0."""
+    n, m, T = draw(st.integers(1, 6)), draw(st.integers(2, 5)), draw(st.integers(2, 4))
+    cell = st.sampled_from(STAGE_CELLS) | st.floats(-8.0, 8.0)
+    values = draw(arrays(np.float64, (n, m, T), elements=cell, fill=st.nothing()))
+    bounds = st.sampled_from(STAGE_CELLS).flatmap(
+        lambda low: st.sampled_from([v for v in STAGE_CELLS if v >= low] + [9.0]).map(
+            lambda high: (low, high))) | st.just((-10.0, 10.0))
+    indices = []
+    for j in range(m):
+        if draw(st.booleans()):
+            values[:, j, :] = draw(cell)
+        orientation = draw(st.sampled_from(
+            [Orientation.benefit(), Orientation.cost(), Orientation.intermediate(), None]))
+        if orientation is None:
+            low, high = draw(bounds)
+            orientation = Orientation.interval(low, high)
+            if draw(st.booleans()):
+                values[:, j, :] = np.clip(values[:, j, :], low, high)
+        indices.append(IndexDefinition(f"e{j}", f"e{j}", orientation, 1.0))
+    weights = st.floats(0.01, 1.0)
+    return (values, indices, draw(arrays(np.float64, m, elements=weights)),
+            draw(arrays(np.float64, T, elements=weights)))
+
+
+@given(stage_inputs(), st.sampled_from(list(ZeroingMode)), st.sampled_from([1, 25, None]))
+@settings(max_examples=200, deadline=None)
+def test_stages_give_the_bits_of_their_whole_array_forms(case, mode, block_cells):
+    """Standardization, weighting in place and the block-wise re-base with its local
+    volumes each give the bits of the plainer form they replaced (``oracle``)."""
+    values, indices, lam, theta = case
+    expected = oracle.standardize_by_row(values, indices)
+    x = standardize_all(values, indices)
+    assert x.tobytes() == expected.tobytes()
+    expected = oracle.weigh_by_broadcast(expected, lam, theta)
+    assert apply_weights(x, lam, theta, out=x).tobytes() == expected.tobytes()
+    with mock.patch.object(incidence, "BLOCK_CELLS", block_cells or incidence.BLOCK_CELLS):
+        vol = local_volumes_in_place(x, mode)
+    assert vol.tobytes() == oracle.rebased_volumes(expected, mode).tobytes()
+
+
+# --- the fingerprint's worker thread ----------------------------------------
+
+@contextlib.contextmanager
+def _fingerprint_on_worker():
+    """Every input crosses the size rule, and two CPUs count as usable."""
+    with mock.patch.object(pipeline, "FINGERPRINT_THREAD_CELLS", -1), \
+            mock.patch.object(pipeline, "_usable_cpus", return_value=2):
+        yield
+
+
+@contextlib.contextmanager
+def _hashing_threads():
+    """Record whether each fingerprint was hashed on the main thread."""
+    on_main, real = [], gio.compute_fingerprint
+
+    def recorded(inp):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        return real(inp)
+
+    with mock.patch.object(gio, "compute_fingerprint", recorded):
+        yield on_main
+
+
+@pytest.mark.parametrize("mode", list(ZeroingMode), ids=lambda m: m.value)
+def test_fingerprint_worker_changes_no_result_fingerprint_or_trace_byte(mode, tmp_path):
+    inp = make_input(np.random.default_rng(3).random((7, 4, 3)),
+                     orientations=KINDS + (Orientation.interval(0.25, 0.75),))
+    runs = []
+    with _hashing_threads() as on_main:
+        for side, rule in (("calling", contextlib.nullcontext()),
+                           ("worker", _fingerprint_on_worker())):
+            with rule:
+                config = RunConfig(zeroing_mode=mode, trace_dir=tmp_path / side)
+                report = run_assessment(inp, config)
+            columns = [report.result.names] + [getattr(report.result, key).tobytes()
+                                               for key in RESULT_COLUMNS]
+            files = {p.name: p.read_bytes() for p in (tmp_path / side).iterdir()}
+            runs.append((columns, report.fingerprint, files))
+    assert on_main == [True, False]
+    assert runs[0] == runs[1]
+    assert len(runs[0][2]) == 4 + 6 * 7
+
+
+def _outcome(call):
+    try:
+        return call()
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return type(exc)
+
+
+@pytest.mark.parametrize("error", [OSError, RuntimeError])
+def test_fingerprint_error_reaches_the_caller_on_both_sides_of_the_rule(
+        error, bundled_input, degenerate_input, capsys):
+    """The same exception type from run_assessment and the same CLI exit code (OSError
+    exits 2; a RuntimeError leaves main). A hash error comes before a degenerate step's,
+    as when the hash runs first."""
+    outcomes = []
+    for rule in (contextlib.nullcontext(), _fingerprint_on_worker()):
+        with rule, mock.patch.object(gio, "compute_fingerprint", side_effect=error("hash")):
+            outcomes.append((_outcome(lambda: run_assessment(bundled_input)),
+                             _outcome(lambda: run_assessment(degenerate_input)),
+                             _outcome(lambda: cli.main(["demo"]))))
+    assert outcomes[0] == outcomes[1] == (error, error, 2 if error is OSError else error)
+    capsys.readouterr()
+
+
+def test_worker_thread_is_joined_after_a_run_and_after_a_degenerate_one(
+        bundled_input, degenerate_input):
+    before = threading.active_count()
+    with _fingerprint_on_worker(), _hashing_threads() as on_main:
+        run_assessment(bundled_input)
+        assert threading.active_count() == before
+        with pytest.raises(DegenerateAssessmentError):
+            run_assessment(degenerate_input)
+        assert threading.active_count() == before
+    assert on_main == [False, False]
+
+
+def test_worker_hash_under_a_short_switch_interval():
+    """With threads switched every microsecond the worker still hands over the whole
+    hash, and the columns stay as a run that hashes on the calling thread makes them."""
+    inp = make_input(np.random.default_rng(5).random((300, 6, 5)))
+    expected = run_assessment(inp)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with _fingerprint_on_worker():
+            reports = [run_assessment(inp) for _ in range(10)]
+    finally:
+        sys.setswitchinterval(interval)
+    for report in reports:
+        assert report.fingerprint == expected.fingerprint
+        assert report.result.names == expected.result.names
+        for key in RESULT_COLUMNS:
+            assert getattr(report.result, key).tobytes() == \
+                getattr(expected.result, key).tobytes(), key
 
 
 # --- block boundaries and index order --------------------------------------
