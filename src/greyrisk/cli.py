@@ -23,7 +23,11 @@ EXIT_IO = 2
 EXIT_DEGENERATE = 3
 
 def _decimals(value: str) -> int:
-    n = int(value)
+    try:
+        n = int(value)
+    except ValueError:  # argparse would name this function in its message
+        raise argparse.ArgumentTypeError(
+            f"must be an integer in [0, {MAX_REPORT_DECIMALS}], got {value!r}") from None
     if not 0 <= n <= MAX_REPORT_DECIMALS:
         raise argparse.ArgumentTypeError(f"must lie in [0, {MAX_REPORT_DECIMALS}]")
     return n

@@ -147,13 +147,15 @@ def _stack(m: int, T: int, n: int, areas) -> tuple:
 
 
 def _json_grids(entries: list, m: int, T: int):
-    """The names and (n, m, T) values of the areas, read in one pass of C-level
-    checks and one ``np.fromiter``, or None.
+    """The names and (n, m, T) values of the areas, or None.
 
-    None means some entry is not a plain {"name": str, "values": m lists of T
-    ints or floats} object, or a cell overflows float64; then ``_json_areas``
-    reads the entries again and alone decides whether they are accepted and,
-    if not, locates the error. No grid is flattened unless every shape holds.
+    The grids are either all float64 arrays, as ``_grid_hook`` leaves them, and
+    are stacked once every shape holds, or all lists, read in one pass of
+    C-level checks and one ``np.fromiter``. None means some entry is not a
+    plain {"name": str, "values": grid} object, a list grid is not m lists of T
+    ints or floats, or a cell overflows float64; then ``_json_areas`` reads the
+    entries again and alone decides whether they are accepted and, if not,
+    locates the error. No value array is made unless every shape holds.
     """
     if not set(map(type, entries)) <= {dict}:
         return None
@@ -162,8 +164,14 @@ def _json_grids(entries: list, m: int, T: int):
         grids = list(map(operator.itemgetter("values"), entries))
     except KeyError:
         return None
-    if not (set(map(type, names)) <= {str} and set(map(type, grids)) <= {list}
-            and set(map(len, grids)) <= {m}):
+    if not set(map(type, names)) <= {str}:
+        return None
+    if grids and set(map(type, grids)) <= {np.ndarray}:
+        if not (set(map(operator.attrgetter("shape"), grids)) <= {(m, T)}
+                and set(map(operator.attrgetter("dtype"), grids)) <= {np.dtype(float)}):
+            return None
+        return names, np.concatenate(grids).reshape(len(grids), m, T)
+    if not (set(map(type, grids)) <= {list} and set(map(len, grids)) <= {m}):
         return None
     rows = list(itertools.chain.from_iterable(grids))
     if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {T}
@@ -183,7 +191,7 @@ def _json_areas(entries: list):
         name = _require(entry, "name", locus, str)
         values = _require(entry, "values", locus)
         try:
-            grid = np.array(values, dtype=float)
+            grid = np.asarray(values, dtype=float)  # a float64 array grid is kept as it is
         except (TypeError, ValueError, OverflowError) as exc:
             raise InputFormatError(
                 f"{locus} ('{name}'): values must be a rectangular grid of numbers: {exc}"
@@ -192,7 +200,8 @@ def _json_areas(entries: list):
             raise InputFormatError(
                 f"{locus} ('{name}'): values must be a rectangular grid of numbers"
             )
-        if {bool, str} & {type(v) for row in values for v in row}:  # np.array converted them
+        # asarray converted them; a float64 array grid holds neither
+        if grid is not values and {bool, str} & {type(v) for row in values for v in row}:
             raise InputFormatError(
                 f"{locus} ('{name}'): values must be numbers, not true/false or strings"
             )
@@ -274,10 +283,38 @@ def _collector_paused():
             gc.enable()
 
 
+_CLEAN_GRID_DTYPES = (np.dtype(float), np.dtype(np.int64))
+
+
+def _grid_hook(obj: dict) -> dict:
+    """A parsed JSON object, its "values" made a float64 array if they are a clean grid.
+
+    Clean means ``np.array`` infers float64 or int64 with two dimensions, which
+    it does only for rows of equal length holding numbers or bools; an integer
+    it cannot hold in either (as 10**400) gives an object array. Anything else
+    is left as parsed, for ``_json_areas`` to accept or refuse. Inference reads
+    a bool as a number, so the hook is only given text that spells neither
+    ``true`` nor ``false``.
+    """
+    values = obj.get("values")
+    if type(values) is list:
+        try:
+            grid = np.array(values)
+        except ValueError:  # ragged, or nested too deeply
+            return obj
+        if grid.ndim == 2 and grid.dtype in _CLEAN_GRID_DTYPES:
+            obj["values"] = grid.astype(float, copy=False)
+    return obj
+
+
 def _parse_json(path: Path):
+    """The JSON document at ``path``, each area grid parsed straight into an array
+    where ``_grid_hook`` may be used, so the grids never exist as lists of floats."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            text = fh.read()
+        hook = None if "true" in text or "false" in text else _grid_hook
+        return json.loads(text, object_hook=hook)
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     except ValueError as exc:  # also UnicodeDecodeError, and integers too long to convert

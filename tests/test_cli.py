@@ -61,6 +61,16 @@ def test_out_of_range_decimals_is_usage_error(case_json, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("value", ["abc", "1.5", ""])
+def test_non_integer_decimals_is_usage_error(case_json, capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["assess", "--input", str(case_json), "--decimals", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"argument --decimals: must be an integer in [0, 12], got {value!r}\n")
+    assert "_decimals" not in err
+
+
 def test_assess_zeroing_flag_changes_result(case_json, capsys):
     assert main(["assess", "--input", str(case_json), "--zeroing", "none"]) == 0
     out = capsys.readouterr().out

@@ -108,6 +108,34 @@ class TestLoadJson:
         assert exc.value.errors[0] == "area 'a0': expected 400x400 value matrix, got 1x1"
         assert peak < 8e6
 
+    def test_load_peak_is_a_few_score_arrays(self, tmp_path):
+        # scores with three decimals, as the benchmark writes them: a 1.5 MB file
+        values = np.round(np.random.default_rng(3).uniform(0.0, 100.0, (2000, 15, 6)), 3)
+        path = tmp_path / "areas.json"
+        path.write_text(json.dumps(input_to_dict(make_input(values))))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            inp = load_input(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(inp.values, values)
+        # the grids as parsed, their stack and the input's own copy; a tree of floats
+        # and lists would be 8x
+        assert peak <= 4.5 * inp.values.nbytes
+
+    def test_array_grids_read_as_their_lists_and_the_document_is_left_alone(self, case_dict):
+        before = copy.deepcopy(case_dict)
+        expected = input_from_dict(case_dict)
+        assert case_dict == before
+        grids = [np.array(area["values"]) for area in case_dict["areas"]]
+        for area, grid in zip(case_dict["areas"], grids):
+            area["values"] = grid
+        assert input_from_dict(case_dict).values.tobytes() == expected.values.tobytes()
+        assert all(a["values"] is grid for a, grid in zip(case_dict["areas"], grids))
+        assert [grid.tolist() for grid in grids] == [a["values"] for a in before["areas"]]
+
     def test_unknown_orientation_lists_allowed(self, tmp_path, case_dict):
         case_dict["indices"][0]["orientation"] = "bigger"
         path = tmp_path / "bad.json"
@@ -532,10 +560,10 @@ _ODD_NAMES = st.sampled_from([None, 1, 0.5, True, ["a"], {}])
 
 
 @st.composite
-def _json_area_lists(draw):
-    """0-4 areas of plain 2 x 3 grids of ints and floats, then 0-3 nodes replaced: a
-    cell, a row, a grid, a whole entry or a name."""
-    grid = st.lists(st.lists(_NUMBERS, min_size=3, max_size=3), min_size=2, max_size=2)
+def _json_area_lists(draw, numbers=_NUMBERS, cells=_ODD_CELLS):
+    """0-4 areas of plain 2 x 3 grids of ``numbers``, then 0-3 nodes replaced: a cell
+    (drawn from ``cells``), a row, a grid, a whole entry or a name."""
+    grid = st.lists(st.lists(numbers, min_size=3, max_size=3), min_size=2, max_size=2)
     areas = [{"name": f"a{k}", "values": draw(grid)} for k in range(draw(st.integers(0, 4)))]
     for _ in range(draw(st.integers(0, 3)) if areas else 0):
         k = draw(st.integers(0, len(areas) - 1))
@@ -543,7 +571,7 @@ def _json_area_lists(draw):
         try:
             if kind == "cell":
                 areas[k]["values"][draw(st.integers(0, 1))][draw(st.integers(0, 2))] = draw(
-                    _ODD_CELLS)
+                    cells)
             elif kind == "row":
                 areas[k]["values"][draw(st.integers(0, 1))] = draw(_ODD_ROWS)
             elif kind == "grid":
@@ -580,6 +608,44 @@ def test_one_pass_json_reader_matches_per_area_reader(areas):
     with mock.patch.object(gio, "_json_grids", lambda entries, m, T: None):
         per_area = _read_document(doc)
     assert _read_document(doc) == per_area
+
+
+# grids that numpy reads as float64 or int64, with cells that json.dumps writes as true,
+# false, null, NaN and Infinity, and numbers at the edges of int64 and float64
+_FILE_NUMBERS = st.one_of(st.floats(), st.integers(-2**63, 2**63 - 1))
+_FILE_CELLS = st.one_of(_ODD_CELLS, st.sampled_from(
+    [float("nan"), float("inf"), -float("inf"), -0.0, 2**53 + 1, 2**63, 2**70, 10**400]))
+
+
+@given(_json_area_lists(_FILE_NUMBERS, _FILE_CELLS),
+       st.sampled_from([None, "true", "false"]), st.booleans())
+@settings(max_examples=300, deadline=None)
+@example([{"name": "a", "values": [[1, 2**63, 0.5], [3, 4, 5]]},
+          {"name": "b", "values": [[-0.0, 2**70, 2], [7, 8, float("nan")]]}], None, False)
+@example([{"name": "a", "values": [[1.0, True, 3.0], [4.0, 5.0, 6.0]]}], None, False)
+@example([{"name": "a", "values": [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]},
+          {"name": "b", "values": [[1, 2, 3], [4, 5, 6]]}], "false", True)
+def test_json_file_reads_as_the_per_area_reader_reads_its_document(areas, word, in_name):
+    """A JSON file, its grids parsed straight into arrays where no true or false is
+    spelled anywhere in the text, loads exactly as its parsed document does when
+    read area by area."""
+    doc = {**_JSON_META, "areas": areas}
+    if word and in_name and areas and isinstance(areas[0], dict):
+        areas[0]["name"] = f"{word} north"
+    elif word:
+        doc["description"] = f"no {word} alarms"
+    text = json.dumps(doc)
+    with mock.patch.object(gio, "_json_grids", lambda entries, m, T: None):
+        per_area = _read_document(json.loads(text))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "case.json"
+        path.write_text(text, encoding="utf-8")
+        try:
+            inp = load_input(path)
+        except (InputFormatError, ValidationError) as exc:
+            assert (type(exc), str(exc)) == per_area
+        else:
+            assert (inp.area_names, inp.values.shape, inp.values.tobytes()) == per_area
 
 
 def test_plain_json_documents_never_reach_the_per_area_reader(monkeypatch):
