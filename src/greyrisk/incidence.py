@@ -84,18 +84,19 @@ def zeroing_image(
     return np.subtract(c, base, out=out)
 
 
-def local_volume(ctilde: np.ndarray) -> np.ndarray:
+def local_volume(ctilde: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Signed volumes under zeroed surfaces stored in the last two axes.
 
     An (..., m, T) input gives (..., m-1, T-1) volumes. Cell (i, j)
     integrates the surface spanned by the 2x2 window at (i, j), triangulated
-    along the window's anti-diagonal.
+    along the window's anti-diagonal. The result goes to ``out`` when given,
+    else to a new array.
     """
     z = np.asarray(ctilde, dtype=float)
     if z.ndim < 2 or z.shape[-2] < 2 or z.shape[-1] < 2:
         raise ValueError(f"local volume needs at least a 2x2 matrix, got shape {z.shape}")
     # (z00 + z11) / 6 + (z10 + z01) / 3
-    vol = z[..., :-1, :-1] + z[..., 1:, 1:]
+    vol = np.add(z[..., :-1, :-1], z[..., 1:, 1:], out=out)
     vol /= 6.0
     anti = z[..., 1:, :-1] + z[..., :-1, 1:]
     anti /= 3.0
@@ -151,23 +152,6 @@ def area_volume_diffs(reference_volume: np.ndarray, volumes: np.ndarray):
     """Each area's D in area order, made one block at a time as ``incidence_degrees`` makes it."""
     for _, diffs in _volume_diffs(reference_volume, volumes):
         yield from diffs
-
-
-def local_volumes_in_place(z: np.ndarray, mode: ZeroingMode) -> np.ndarray:
-    """Local volumes of (n, m, T) matrices re-based by ``mode``, written over ``z``'s buffer.
-
-    ``z`` is consumed: the (n, m-1, T-1) result is a view of its first n(m-1)(T-1)
-    cells (of a copy, if ``z`` is not C-contiguous). Each block of areas is re-based
-    in place and its volumes are made from it before they are written; they end
-    before the next block's matrices begin, because (m-1)(T-1) < m*T.
-    """
-    n, m, T = z.shape
-    z = np.ascontiguousarray(z)
-    vol = z.reshape(-1)[: n * (m - 1) * (T - 1)].reshape(n, m - 1, T - 1)
-    for block in _blocks(n, m * T):
-        zb = z[block]
-        vol[block] = local_volume(zeroing_image(zb, mode, out=zb))
-    return vol
 
 
 def incidence_family(reference_volume: np.ndarray, volumes: np.ndarray) -> IncidenceFamilyResult:

@@ -26,6 +26,7 @@ import gc
 import hashlib
 import itertools
 import json
+import mmap
 import operator
 import os
 import re
@@ -214,6 +215,12 @@ def _located(field: str, entries: list):
 
 def input_from_dict(doc: dict) -> AssessmentInput:
     """Build a validated AssessmentInput from the json document schema."""
+    return AssessmentInput(*_input_fields(doc))
+
+
+def _input_fields(doc: dict) -> tuple:
+    """The fields of the AssessmentInput of a json document, in order; the values are
+    one (n, m, T) array that holds no reference to ``doc``."""
     if not isinstance(doc, dict):
         raise InputFormatError("top level must be an object")
     index_entries, period_entries, areas = (
@@ -225,7 +232,7 @@ def input_from_dict(doc: dict) -> AssessmentInput:
     columns = _json_grids(areas, m, T)
     if columns is None:
         columns = _stack(m, T, len(areas), _json_areas(areas))
-    return AssessmentInput(indices, labels, time_weights, *columns)
+    return (indices, labels, time_weights, *columns)
 
 
 def _metadata(inp: AssessmentInput) -> dict:
@@ -307,12 +314,28 @@ def _grid_hook(obj: dict) -> dict:
     return obj
 
 
+def _read_text(path: Path) -> str:
+    """The UTF-8 text of the file at ``path``, its line ends read as text mode reads them.
+
+    The text is decoded from a read-only map of the file, so the file's bytes are never
+    held beside it. An empty file, or one that reports no size, is read as it is.
+    """
+    with open(path, "rb") as fh:
+        if os.fstat(fh.fileno()).st_size == 0:
+            text = str(fh.read(), "utf-8")
+        else:
+            with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mm:
+                text = str(mm, "utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def _parse_json(path: Path):
     """The JSON document at ``path``, each area grid parsed straight into an array
     where ``_grid_hook`` may be used, so the grids never exist as lists of floats."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        text = _read_text(path)
         hook = None if "true" in text or "false" in text else _grid_hook
         return json.loads(text, object_hook=hook)
     except json.JSONDecodeError as exc:
@@ -324,8 +347,9 @@ def _parse_json(path: Path):
 
 
 def _load_json(path: Path) -> AssessmentInput:
-    with _collector_paused():  # the document is freed when input_from_dict returns
-        return input_from_dict(_parse_json(path))
+    with _collector_paused():  # the document and its grids are freed when this returns
+        fields = _input_fields(_parse_json(path))
+    return AssessmentInput(*fields)
 
 
 def _csv_grid(path: Path) -> np.ndarray:
@@ -591,11 +615,12 @@ class TraceWriter:
         if self.out is not None:
             _write_matrix(self._path(name), matrix, *self.axes[matrix.shape])
 
-    def per_area(self, name: str, matrices) -> None:
-        """One (m, T) or (m-1, T-1) matrix per area, taken from ``matrices`` in area order."""
+    def per_area(self, name: str, matrices, first: int = 0) -> None:
+        """One (m, T) or (m-1, T-1) matrix per area, taken from ``matrices`` in area order
+        from area ``first`` on."""
         if self.out is None:
             return
-        for slug, matrix in zip(self.slugs, matrices):
+        for slug, matrix in zip(itertools.islice(self.slugs, first, None), matrices):
             _write_matrix(self._path(f"{slug}_{name}"), matrix, *self.axes[matrix.shape])
 
     def _path(self, name: str) -> str:

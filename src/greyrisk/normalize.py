@@ -18,7 +18,7 @@ bias neither ideal matrix; intermediate and interval degenerate to 1.0
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,69 +48,114 @@ def _median_and_max_dev(a: np.ndarray) -> tuple[np.ndarray, float]:
     return med, float(np.abs(s, out=s).max())
 
 
-def standardize_all(values: np.ndarray, indices: Sequence[IndexDefinition]) -> np.ndarray:
-    """Standardize raw scores of shape (n, m, T) into a new float64 array.
+class Standardization(NamedTuple):
+    """The operands that standardize any block of one input's areas, taken once over all of them.
 
-    Index j of ``indices`` describes row j of every area. Each index is
-    standardized over all n areas and T periods at once. Interval bounds must
-    satisfy low <= high, as a validated input's do.
+    A block is standardized as b = (a - sub) / div against (m, T) operands, with sub the
+    minimum or M(t) and div the span or max_dev of each benefit, cost and intermediate
+    row; interval and degenerate rows take sub 0 and div 1 and are overwritten. The
+    (m, 1) masks select the rows made |b| (intermediate), the rows made 1 - b (cost and
+    intermediate) and the degenerate rows, which take their constant from ``fill``; a
+    mask that would select no row is None. ``interval`` is None or the interval rows'
+    (k,) positions and (k, 1) columns of their low and high bounds and denominators.
+    """
 
-    Benefit, cost and intermediate rows take two whole-array passes against (m, T)
-    operands, b = (a - sub) / div, with sub the minimum or M(t) and div the span or
-    max_dev; cost and intermediate rows then become 1 - |b| one row at a time.
-    Interval and degenerate rows pass through the whole-array passes as they are
-    (sub 0, div 1) and are written one row at a time.
+    sub: np.ndarray
+    div: np.ndarray
+    absolute: np.ndarray | None
+    complement: np.ndarray | None
+    filled: np.ndarray | None
+    fill: np.ndarray
+    interval: tuple | None
+
+
+def _selecting(mask: np.ndarray) -> np.ndarray | None:
+    # a masked pass still visits every cell, so a mask that selects no row is dropped
+    return mask if mask.any() else None
+
+
+def standardization(values: np.ndarray, indices: Sequence[IndexDefinition]) -> Standardization:
+    """The per-index operands of standardizing raw scores of shape (n, m, T).
+
+    Index j of ``indices`` describes row j of every area. The extrema, the cross-area
+    medians and every span are taken over all n areas and T periods. Interval bounds
+    must satisfy low <= high, as a validated input's do.
     """
     values = np.asarray(values, dtype=float)
+    m, T = values.shape[1:]
     lows, highs = index_extrema(values)
     spans = highs - lows
-    sub, div = np.zeros(values.shape[1:]), np.ones(values.shape[1:])  # (m, T)
-    fill = {}  # row -> the constant of a degenerate row
+    sub, div = np.zeros((m, T)), np.ones((m, T))
+    absolute, complement = np.zeros((m, 1), bool), np.zeros((m, 1), bool)
+    fill = np.full((m, 1), np.nan)
+    interval = []  # (row, low, high, den) of each interval row with den > 0
     for j, d in enumerate(indices):
         kind = d.orientation.kind
-        if kind is OrientationKind.BENEFIT or kind is OrientationKind.COST:
-            if spans[j] == 0.0:
-                fill[j] = 0.5
+        if kind is OrientationKind.INTERVAL:
+            low, high = d.orientation.interval_low, d.orientation.interval_high
+            den = max(low - lows[j], highs[j] - high)
+            if den <= 0.0:  # only when every observed value lies inside [low, high]
+                fill[j] = 1.0
             else:
-                sub[j], div[j] = lows[j], spans[j]
+                interval.append((j, low, high, den))
         elif kind is OrientationKind.INTERMEDIATE:
             med, max_dev = _median_and_max_dev(values[:, j, :])
             if max_dev == 0.0:
                 fill[j] = 1.0
             else:
                 sub[j], div[j] = med, max_dev
-    x = np.array(values)
-    np.subtract(x, sub, out=x)
-    np.divide(x, div, out=x)
-    for j, d in enumerate(indices):
-        kind, b = d.orientation.kind, x[:, j, :]
-        if j in fill:
-            b[...] = fill[j]
-        elif kind is OrientationKind.INTERVAL:
-            _standardize_interval(values[:, j, :], lows[j], highs[j], d.orientation, b)
-        elif kind is not OrientationKind.BENEFIT:
-            if kind is OrientationKind.INTERMEDIATE:
-                np.abs(b, out=b)
-            # for a cost row this is the benefit complement, so the duality
-            # b + c = 1 is exact in floating point, not just algebraically
-            np.subtract(1.0, b, out=b)
+                absolute[j] = complement[j] = True
+        elif spans[j] == 0.0:
+            fill[j] = 0.5
+        else:
+            sub[j], div[j] = lows[j], spans[j]
+            complement[j] = kind is OrientationKind.COST
+    interval_rows = None
+    if interval:
+        rows, low, high, den = map(np.array, zip(*interval))
+        interval_rows = (rows, low[:, None], high[:, None], den[:, None])
+    return Standardization(sub, div, _selecting(absolute), _selecting(complement),
+                           _selecting(~np.isnan(fill)), fill, interval_rows)
+
+
+def standardize(
+    a: np.ndarray, operands: Standardization, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Standardize a block of raw (n, m, T) scores by ``operands``, each step one
+    whole-block pass: the result goes to ``out`` when given, else to a new array.
+
+    Every cell takes the same floating-point operations whichever block holds it,
+    so the blocks of an input give the bits of the input standardized whole.
+    """
+    x = np.subtract(a, operands.sub, out=out)
+    np.divide(x, operands.div, out=x)
+    if operands.absolute is not None:
+        np.abs(x, out=x, where=operands.absolute)
+    if operands.complement is not None:
+        # for a cost row this is the benefit complement, so the duality b + c = 1 is
+        # exact in floating point, not just algebraically
+        np.subtract(1.0, x, out=x, where=operands.complement)
+    if operands.interval is not None:
+        # b = 1 - max(low - a, a - high, 0) / den: 1 inside [low, high], the linear
+        # falloff outside it
+        rows, low, high, den = operands.interval
+        above = a[:, rows, :]  # a - high, once the gather is made
+        dist = np.subtract(low, above)
+        np.subtract(above, high, out=above)
+        np.maximum(dist, above, out=dist)
+        np.maximum(dist, 0.0, out=dist)
+        dist /= den
+        x[:, rows, :] = np.subtract(1.0, dist, out=dist)
+    if operands.filled is not None:
+        np.copyto(x, operands.fill, where=operands.filled)
     return x
 
 
-def _standardize_interval(a, lo, hi, orientation, out) -> None:
-    """b = 1 - max(low - a, a - high, 0) / den into ``out``, or 1.0 when den <= 0.
+def standardize_all(values: np.ndarray, indices: Sequence[IndexDefinition]) -> np.ndarray:
+    """Standardize raw scores of shape (n, m, T) into a new float64 array.
 
-    For low <= high this is 1 inside [low, high] and the linear falloff outside it.
+    The operands are taken over the whole array (``standardization``) and applied to
+    it as one block (``standardize``), as ``run_assessment`` applies them block by block.
     """
-    low, high = orientation.interval_low, orientation.interval_high
-    den = max(low - lo, hi - high)
-    if den <= 0.0:
-        # only reachable when every observed value lies inside [low, high]
-        out[...] = 1.0
-        return
-    above = np.subtract(a, high, out=out)  # out holds a - high until the last step
-    dist = np.subtract(low, a)
-    np.maximum(dist, above, out=dist)
-    np.maximum(dist, 0.0, out=dist)
-    dist /= den
-    np.subtract(1.0, dist, out=out)
+    values = np.asarray(values, dtype=float)
+    return standardize(values, standardization(values, indices))

@@ -19,15 +19,15 @@ from . import io as gio
 from ._meta import VERSION
 from .incidence import (
     ZeroingMode,
+    _blocks,
     area_volume_diffs,
     grey_coefficients,
     incidence_degrees,
     local_volume,
-    local_volumes_in_place,
     zeroing_image,
 )
 from .model import AssessmentInput
-from .normalize import standardize_all
+from .normalize import standardization, standardize
 from .ranking import (
     DegenerateAssessmentError,
     RiskLevel,
@@ -161,13 +161,15 @@ def run_assessment(inp: AssessmentInput, config: RunConfig | None = None) -> Ass
     is raised on the caller in place of any error of the steps, as when the hash
     runs first. The report does not depend on where the hash ran.
 
-    Memory: beside the input the run holds one (n, m, T) working array. It is
-    standardized and weighted in place, and each block of areas is then re-based
-    in place and its local volumes written over the array's front. Incidence takes
-    two passes over blocks of those volumes, so no array of volume differences is
-    held whole, and the array is freed before the ranking. The peak beyond the
-    input is 1.44x the input at n=2000, m=15, T=6 and 1.13x at n=500, m=50, T=24
-    (tracemalloc; README, "Memory").
+    Memory: beside the input the run holds the (n, m-1, T-1) local volumes and one
+    buffer of a block of areas. The standardization's operands are taken from the
+    whole input; each block is then standardized and weighted in the buffer, folded
+    into both ideals, re-based in place, and its local volumes written into their
+    array. Incidence takes two passes over blocks of those volumes, so no array of
+    volume differences is held whole, and the volumes are freed before the ranking.
+    The peak beyond the input is 1.22x the input at n=2000, m=15, T=6, 1.08x at
+    n=500, m=50, T=24 and 0.84x at n=20 000, m=15, T=6 (tracemalloc; README,
+    "Memory").
     """
     config = config or RunConfig()
     t0 = time.perf_counter()
@@ -198,17 +200,9 @@ def _ranked(inp: AssessmentInput, config: RunConfig, trace: gio.TraceWriter) -> 
     theta, theta_renormed = _renormalized(theta_raw)
 
     mode = config.zeroing_mode
-    # one working array: standardized, then weighted in place, then re-based block by
-    # block as its local volumes are written over it
-    x = standardize_all(inp.values, inp.indices)
-    trace.per_area("standardized", x)
-    apply_weights(x, lam, theta, out=x)
-    trace.per_area("weighted", x)
-    c_pos, c_neg = positive_ideal(x), negative_ideal(x)
+    c_pos, c_neg, vol = _ideals_and_volumes(inp.values, inp.indices, lam, theta, mode, trace)
     trace.shared("positive_ideal", c_pos)
     trace.shared("negative_ideal", c_neg)
-    vol = local_volumes_in_place(x, mode)
-    del x  # consumed: vol is a view of its front
 
     vol_pos = local_volume(zeroing_image(c_pos, mode))
     vol_neg = local_volume(zeroing_image(c_neg, mode))
@@ -223,7 +217,7 @@ def _ranked(inp: AssessmentInput, config: RunConfig, trace: gio.TraceWriter) -> 
                                          for d in area_volume_diffs(ref_vol, vol)))
         degrees.append(gamma)
     gp, gn = degrees
-    del vol  # the working array is not needed for the ranking
+    del vol  # the volumes are not needed for the ranking
 
     try:
         s = superiority_degree(gp, gn)
@@ -250,6 +244,37 @@ def _ranked(inp: AssessmentInput, config: RunConfig, trace: gio.TraceWriter) -> 
     return AssessmentResult(
         tuple(map(inp.area_names.__getitem__, order.tolist())), gp[order], gn[order],
         s[order], rank[order], classify(s[order]), tied[order], echo)
+
+
+def _ideals_and_volumes(values: np.ndarray, indices, lam: np.ndarray, theta: np.ndarray,
+                        mode: ZeroingMode, trace: gio.TraceWriter):
+    """Both ideal matrices and every area's (m-1, T-1) local volumes, in one pass over blocks.
+
+    The standardization's operands are taken from the whole input first. Each block of
+    areas is then standardized and weighted in one buffer, folded into the running
+    ideals, re-based in place, and its volumes written into one (n, m-1, T-1) array.
+    Every cell takes the operations it would take in the whole array, and maxima and
+    minima are exact, so no result depends on where the blocks end.
+    """
+    n, m, T = values.shape
+    operands = standardization(values, indices)
+    vol = np.empty((n, m - 1, T - 1))
+    c_pos = c_neg = buffer = None
+    for block in _blocks(n, m * T):
+        a = values[block]
+        if buffer is None:  # the first block is the largest
+            buffer = np.empty(a.shape)
+        x = standardize(a, operands, out=buffer[: len(a)])
+        trace.per_area("standardized", x, block.start)
+        apply_weights(x, lam, theta, out=x)
+        trace.per_area("weighted", x, block.start)
+        if c_pos is None:
+            c_pos, c_neg = positive_ideal(x), negative_ideal(x)
+        else:
+            np.maximum(c_pos, positive_ideal(x), out=c_pos)
+            np.minimum(c_neg, negative_ideal(x), out=c_neg)
+        local_volume(zeroing_image(x, mode, out=x), out=vol[block])
+    return c_pos, c_neg, vol
 
 
 def load_bundled_case() -> AssessmentInput:

@@ -29,8 +29,8 @@ def apply_weights(
         )
     # both weights as (m, T) arrays, so that numpy runs one m*T-long inner loop per matrix
     m, T = b.shape[-2:]
-    c = np.multiply(np.repeat(lam, T).reshape(m, T), b, out=out)
-    return np.multiply(c, np.tile(theta, m).reshape(m, T), out=c)
+    c = np.multiply(lam.repeat(T).reshape(m, T), b, out=out)
+    return np.multiply(c, theta[None, :].repeat(m, axis=0), out=c)
 
 
 def positive_ideal(c: np.ndarray) -> np.ndarray:

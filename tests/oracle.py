@@ -14,8 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-from greyrisk import ZeroingMode
+from greyrisk import ZeroingMode, apply_weights, incidence
 from greyrisk.model import AssessmentInput, IndexDefinition, OrientationKind, index_extrema
+from greyrisk.normalize import _median_and_max_dev
 from greyrisk.ranking import RISK_THRESHOLDS, DegenerateAssessmentError, RiskLevel
 
 
@@ -232,8 +233,11 @@ def standardize_by_row(values: np.ndarray, indices: Sequence[IndexDefinition]) -
             if den <= 0.0:
                 a[...] = 1.0
             else:
-                a[...] = np.where(a < low, 1.0 - (low - a) / den,
-                                  np.where(a > high, 1.0 - (a - high) / den, 1.0))
+                # np.where computes both branches for every cell, and the one it does not
+                # select may overflow (a far below low with a subnormal den, say)
+                with np.errstate(over="ignore"):
+                    a[...] = np.where(a < low, 1.0 - (low - a) / den,
+                                      np.where(a > high, 1.0 - (a - high) / den, 1.0))
     return values
 
 
@@ -253,3 +257,84 @@ def rebased_volumes(c: np.ndarray, mode: ZeroingMode) -> np.ndarray:
         z = c - 0.0
     return ((z[..., :-1, :-1] + z[..., 1:, 1:]) / 6.0
             + (z[..., 1:, :-1] + z[..., :-1, 1:]) / 3.0)
+
+
+# --- the run's stages on one whole working array ----------------------------
+# The run once standardized, weighted and re-based one (n, m, T) working array and
+# wrote the local volumes over its front; it now makes each block of areas through
+# every stage in turn. This is that whole-array sequence, and the blocked run must
+# give its bits.
+
+def _standardize_interval(a, lo, hi, orientation, out) -> None:
+    """b = 1 - max(low - a, a - high, 0) / den into ``out``, or 1.0 when den <= 0."""
+    low, high = orientation.interval_low, orientation.interval_high
+    den = max(low - lo, hi - high)
+    if den <= 0.0:
+        out[...] = 1.0
+        return
+    above = np.subtract(a, high, out=out)
+    dist = np.subtract(low, a)
+    np.maximum(dist, above, out=dist)
+    np.maximum(dist, 0.0, out=dist)
+    dist /= den
+    np.subtract(1.0, dist, out=out)
+
+
+def standardize_whole(values: np.ndarray, indices: Sequence[IndexDefinition]) -> np.ndarray:
+    """Standardized (n, m, T) scores: two whole-array passes, then one row at a time."""
+    values = np.asarray(values, dtype=float)
+    lows, highs = index_extrema(values)
+    spans = highs - lows
+    sub, div = np.zeros(values.shape[1:]), np.ones(values.shape[1:])
+    fill = {}
+    for j, d in enumerate(indices):
+        kind = d.orientation.kind
+        if kind is OrientationKind.BENEFIT or kind is OrientationKind.COST:
+            if spans[j] == 0.0:
+                fill[j] = 0.5
+            else:
+                sub[j], div[j] = lows[j], spans[j]
+        elif kind is OrientationKind.INTERMEDIATE:
+            med, max_dev = _median_and_max_dev(values[:, j, :])
+            if max_dev == 0.0:
+                fill[j] = 1.0
+            else:
+                sub[j], div[j] = med, max_dev
+    x = np.array(values)
+    np.subtract(x, sub, out=x)
+    np.divide(x, div, out=x)
+    for j, d in enumerate(indices):
+        kind, b = d.orientation.kind, x[:, j, :]
+        if j in fill:
+            b[...] = fill[j]
+        elif kind is OrientationKind.INTERVAL:
+            _standardize_interval(values[:, j, :], lows[j], highs[j], d.orientation, b)
+        elif kind is not OrientationKind.BENEFIT:
+            if kind is OrientationKind.INTERMEDIATE:
+                np.abs(b, out=b)
+            np.subtract(1.0, b, out=b)
+    return x
+
+
+def local_volumes_in_place(z: np.ndarray, mode: ZeroingMode) -> np.ndarray:
+    """Local volumes of (n, m, T) matrices re-based by ``mode``, written over ``z``'s buffer."""
+    n, m, T = z.shape
+    z = np.ascontiguousarray(z)
+    vol = z.reshape(-1)[: n * (m - 1) * (T - 1)].reshape(n, m - 1, T - 1)
+    for block in incidence._blocks(n, m * T):
+        zb = z[block]
+        vol[block] = incidence.local_volume(incidence.zeroing_image(zb, mode, out=zb))
+    return vol
+
+
+def whole_array_run(values, indices, lam, theta, mode: ZeroingMode):
+    """(c_pos, c_neg, volumes, [(d_max, d_min, degrees) toward each ideal]) of one
+    working array: standardized, weighted in place, reduced to both ideals, then
+    re-based with its local volumes written over its front."""
+    x = standardize_whole(values, indices)
+    apply_weights(x, lam, theta, out=x)
+    c_pos, c_neg = np.max(x, axis=0), np.min(x, axis=0)
+    vol = local_volumes_in_place(x, mode)
+    families = [incidence.incidence_degrees(
+        incidence.local_volume(incidence.zeroing_image(c, mode)), vol) for c in (c_pos, c_neg)]
+    return c_pos, c_neg, vol, families

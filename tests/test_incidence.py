@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from greyrisk import ZeroingMode, incidence, incidence_family, local_volume, zeroing_image
-from greyrisk.incidence import grey_coefficients, local_volumes_in_place
+from greyrisk.incidence import grey_coefficients
 
 
 def family(reference, factors, mode=ZeroingMode.FIRST_COLUMN):
@@ -271,28 +271,6 @@ def test_blockwise_volume_matches_one_shot(z, block_cells):
         single = local_volume(z[0])
     assert got.tobytes() == one_shot_volume(z).tobytes()
     assert single.tobytes() == one_shot_volume(z[0]).tobytes()
-
-
-@given(stacked_matrices, st.integers(1, 40), mode_strategy)
-@settings(max_examples=60, deadline=None)
-def test_volumes_over_the_matrices_match_one_shot(z, block_cells, mode):
-    """Each block is re-based in place and its volumes land on the front of the
-    consumed matrices' own buffer."""
-    work = z.copy()
-    with mock.patch.object(incidence, "BLOCK_CELLS", block_cells):
-        vol = local_volumes_in_place(work, mode)
-    assert np.shares_memory(vol, work)
-    assert vol.tobytes() == one_shot_volume(zeroing_image(z, mode)).tobytes()
-
-
-def test_volumes_of_a_non_contiguous_array_leave_it_whole():
-    z = np.arange(60.0).reshape(3, 4, 5) ** 1.5
-    for mode in ZeroingMode:
-        fortran = np.asfortranarray(z)
-        vol = local_volumes_in_place(fortran, mode)
-        assert not np.shares_memory(vol, fortran)
-        assert fortran.tobytes(order="C") == z.tobytes()
-        assert vol.tobytes() == one_shot_volume(zeroing_image(z, mode)).tobytes()
 
 
 @given(stacked_matrices, st.integers(1, 40),
