@@ -7,7 +7,7 @@ and seven-grade risk classification.
 """
 
 from ._meta import VERSION as __version__
-from .incidence import ZeroingMode, incidence_family, local_volume, zeroing_image
+from .incidence import ZeroingMode, incidence_degrees, local_volume, zeroing_image
 from .io import InputFormatError, load_input
 from .model import AssessmentInput, IndexDefinition, Orientation, ValidationError
 from .normalize import standardize_all
@@ -34,7 +34,7 @@ __all__ = [
     "ZeroingMode",
     "apply_weights",
     "classify",
-    "incidence_family",
+    "incidence_degrees",
     "load_input",
     "local_volume",
     "negative_ideal",

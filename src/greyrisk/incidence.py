@@ -21,7 +21,6 @@ subtractive zeroing modes) under a common translation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -43,22 +42,6 @@ class ZeroingMode(str, Enum):
     FIRST_COLUMN = "first-column"
     FIRST_ELEMENT = "first-element"
     NONE = "none"
-
-
-@dataclass(frozen=True)
-class IncidenceFamilyResult:
-    """Incidence of every area against one shared reference.
-
-    ``volume_diffs`` is the (n, m-1, T-1) array D of absolute local volume
-    differences from the reference; ``degrees`` holds the n incidence
-    degrees. The extreme differences d_max/d_min are taken jointly over all
-    areas, so coefficients of different areas are on a common scale.
-    """
-
-    volume_diffs: np.ndarray
-    d_max: float
-    d_min: float
-    degrees: np.ndarray
 
 
 def _blocks(n: int, cells: int):
@@ -135,10 +118,22 @@ def incidence_degrees(
 ) -> tuple[float, float, np.ndarray]:
     """(d_max, d_min, degrees) of every area against the reference, with no D held whole.
 
-    Two passes over the blocks of areas: the first folds the extreme differences
-    d_max and d_min, the second averages each area's grey coefficients. Max and min
-    are exact, so the result does not depend on where the blocks end.
+    ``volumes`` is the (n, m-1, T-1) local volume array of all areas and
+    ``reference_volume`` the (m-1, T-1) local volumes of the reference. The extreme
+    absolute differences d_max and d_min are taken jointly over all areas, so the
+    grey coefficients of different areas are on a common scale.
+
+    Two passes over the blocks of areas: the first folds d_max and d_min, the second
+    averages each area's grey coefficients. Max and min are exact, so the result
+    does not depend on where the blocks end.
     """
+    reference_volume = np.asarray(reference_volume, dtype=float)
+    volumes = np.asarray(volumes, dtype=float)
+    if volumes.shape[1:] != reference_volume.shape:
+        raise ValueError(
+            f"shape mismatch: volumes {volumes.shape} vs reference {reference_volume.shape}")
+    if len(volumes) == 0:
+        raise ValueError("at least one area required")
     d_max, d_min = -math.inf, math.inf
     for _, diffs in _volume_diffs(reference_volume, volumes):
         d_max, d_min = max(d_max, float(diffs.max())), min(d_min, float(diffs.min()))
@@ -152,23 +147,3 @@ def area_volume_diffs(reference_volume: np.ndarray, volumes: np.ndarray):
     """Each area's D in area order, made one block at a time as ``incidence_degrees`` makes it."""
     for _, diffs in _volume_diffs(reference_volume, volumes):
         yield from diffs
-
-
-def incidence_family(reference_volume: np.ndarray, volumes: np.ndarray) -> IncidenceFamilyResult:
-    """Volumetric incidence degree of every area against the reference.
-
-    ``volumes`` is the (n, m-1, T-1) local volume array of all areas and
-    ``reference_volume`` the (m-1, T-1) local volumes of the reference. Each
-    area's degree is the mean of its grey coefficient matrix.
-    """
-    ref = np.asarray(reference_volume, dtype=float)
-    vols = np.asarray(volumes, dtype=float)
-    if vols.shape[1:] != ref.shape:
-        raise ValueError(f"shape mismatch: volumes {vols.shape} vs reference {ref.shape}")
-    if len(vols) == 0:
-        raise ValueError("at least one area required")
-    d_max, d_min, degrees = incidence_degrees(ref, vols)
-    diffs = np.empty(vols.shape)
-    for block, block_diffs in _volume_diffs(ref, vols):
-        diffs[block] = block_diffs
-    return IncidenceFamilyResult(volume_diffs=diffs, d_max=d_max, d_min=d_min, degrees=degrees)

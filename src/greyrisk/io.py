@@ -20,9 +20,8 @@ Values are laid out row = index, column = period throughout.
 
 from __future__ import annotations
 
-import contextlib
 import csv
-import gc
+import functools
 import hashlib
 import itertools
 import json
@@ -150,13 +149,11 @@ def _stack(m: int, T: int, n: int, areas) -> tuple:
 def _json_grids(entries: list, m: int, T: int):
     """The names and (n, m, T) values of the areas, or None.
 
-    The grids are either all float64 arrays, as ``_grid_hook`` leaves them, and
-    are stacked once every shape holds, or all lists, read in one pass of
-    C-level checks and one ``np.fromiter``. None means some entry is not a
-    plain {"name": str, "values": grid} object, a list grid is not m lists of T
-    ints or floats, or a cell overflows float64; then ``_json_areas`` reads the
-    entries again and alone decides whether they are accepted and, if not,
-    locates the error. No value array is made unless every shape holds.
+    The grids are stacked once when every entry is a plain {"name": str, "values":
+    grid} object whose grid is an m x T float64 array, as ``_grid_hook`` leaves a
+    clean grid. None means some entry is not; then ``_json_areas`` reads the entries
+    again and alone decides whether they are accepted and, if not, locates the
+    error. No value array is made unless every shape holds.
     """
     if not set(map(type, entries)) <= {dict}:
         return None
@@ -165,25 +162,11 @@ def _json_grids(entries: list, m: int, T: int):
         grids = list(map(operator.itemgetter("values"), entries))
     except KeyError:
         return None
-    if not set(map(type, names)) <= {str}:
+    if not (grids and set(map(type, names)) <= {str} and set(map(type, grids)) <= {np.ndarray}
+            and set(map(operator.attrgetter("shape"), grids)) <= {(m, T)}
+            and set(map(operator.attrgetter("dtype"), grids)) <= {np.dtype(float)}):
         return None
-    if grids and set(map(type, grids)) <= {np.ndarray}:
-        if not (set(map(operator.attrgetter("shape"), grids)) <= {(m, T)}
-                and set(map(operator.attrgetter("dtype"), grids)) <= {np.dtype(float)}):
-            return None
-        return names, np.concatenate(grids).reshape(len(grids), m, T)
-    if not (set(map(type, grids)) <= {list} and set(map(len, grids)) <= {m}):
-        return None
-    rows = list(itertools.chain.from_iterable(grids))
-    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {T}
-            and set(map(type, itertools.chain.from_iterable(rows))) <= {float, int}):
-        return None  # bools and numeric strings are refused by the per-area reader
-    n = len(entries)
-    try:
-        cells = np.fromiter(itertools.chain.from_iterable(rows), float, count=n * m * T)
-    except OverflowError:  # an integer beyond float64
-        return None
-    return names, cells.reshape(n, m, T)
+    return names, np.concatenate(grids).reshape(len(grids), m, T)
 
 
 def _json_areas(entries: list):
@@ -211,11 +194,6 @@ def _json_areas(entries: list):
 
 def _located(field: str, entries: list):
     return ((f"{field}[{k}]", entry) for k, entry in enumerate(entries))
-
-
-def input_from_dict(doc: dict) -> AssessmentInput:
-    """Build a validated AssessmentInput from the json document schema."""
-    return AssessmentInput(*_input_fields(doc))
 
 
 def _input_fields(doc: dict) -> tuple:
@@ -267,41 +245,18 @@ def compute_fingerprint(inp: AssessmentInput) -> str:
     return digest.hexdigest()
 
 
-@contextlib.contextmanager
-def _collector_paused():
-    """Run the body with Python's cyclic garbage collector disabled.
-
-    A JSON document is a tree of lists and dicts with no cycles, so each
-    collection its allocations trigger walks every young container and frees
-    nothing: on a 5000-area document that was a third of ``json.load``. The
-    collector is re-enabled on exit only if it was enabled on entry.
-
-    The switch is interpreter-wide: while the body runs, no thread triggers an
-    automatic collection (``gc.collect()`` still works), and a thread that
-    disables the collector meanwhile has that undone on exit. Free what the
-    body allocated before it ends, or the first collection afterwards walks it.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 _CLEAN_GRID_DTYPES = (np.dtype(float), np.dtype(np.int64))
 
 
-def _grid_hook(obj: dict) -> dict:
+def _grid_hook(obj: dict, bools: bool = False) -> dict:
     """A parsed JSON object, its "values" made a float64 array if they are a clean grid.
 
     Clean means ``np.array`` infers float64 or int64 with two dimensions, which
     it does only for rows of equal length holding numbers or bools; an integer
-    it cannot hold in either (as 10**400) gives an object array. Anything else
-    is left as parsed, for ``_json_areas`` to accept or refuse. Inference reads
-    a bool as a number, so the hook is only given text that spells neither
-    ``true`` nor ``false``.
+    it cannot hold in either (as 10**400) gives an object array. Inference reads
+    a bool as a number, so with ``bools`` set, for text that spells ``true`` or
+    ``false``, a grid with a bool among its cells is not clean. Anything else is
+    left as parsed, for ``_json_areas`` to accept or refuse.
     """
     values = obj.get("values")
     if type(values) is list:
@@ -309,7 +264,8 @@ def _grid_hook(obj: dict) -> dict:
             grid = np.array(values)
         except ValueError:  # ragged, or nested too deeply
             return obj
-        if grid.ndim == 2 and grid.dtype in _CLEAN_GRID_DTYPES:
+        if (grid.ndim == 2 and grid.dtype in _CLEAN_GRID_DTYPES and not (
+                bools and bool in set(map(type, itertools.chain.from_iterable(values))))):
             obj["values"] = grid.astype(float, copy=False)
     return obj
 
@@ -332,11 +288,13 @@ def _read_text(path: Path) -> str:
 
 
 def _parse_json(path: Path):
-    """The JSON document at ``path``, each area grid parsed straight into an array
-    where ``_grid_hook`` may be used, so the grids never exist as lists of floats."""
+    """The JSON document at ``path``, each clean area grid parsed straight into an
+    array by ``_grid_hook``, so such grids never exist as lists of floats; grids are
+    checked for bools only where the text spells ``true`` or ``false``."""
     try:
         text = _read_text(path)
-        hook = None if "true" in text or "false" in text else _grid_hook
+        bools = "true" in text or "false" in text
+        hook = functools.partial(_grid_hook, bools=True) if bools else _grid_hook
         return json.loads(text, object_hook=hook)
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
@@ -347,8 +305,7 @@ def _parse_json(path: Path):
 
 
 def _load_json(path: Path) -> AssessmentInput:
-    with _collector_paused():  # the document and its grids are freed when this returns
-        fields = _input_fields(_parse_json(path))
+    fields = _input_fields(_parse_json(path))  # the document and its grids are freed here
     return AssessmentInput(*fields)
 
 
@@ -360,7 +317,7 @@ def _csv_grid(path: Path) -> np.ndarray:
     and, if not, locates the error.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
+        with open(path, newline="", encoding="utf-8-sig") as fh, warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
             grid = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
     except ValueError:  # also UnicodeDecodeError
@@ -390,7 +347,7 @@ def _csv_grid_cells(path: Path) -> np.ndarray:
 
 def _csv_rows(path: Path) -> list:
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             return list(csv.reader(fh))
     except UnicodeDecodeError as exc:
         raise InputFormatError(f"{path}: {exc}") from exc

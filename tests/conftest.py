@@ -1,12 +1,11 @@
 import csv
-import gc
 import json
 
 import numpy as np
 import pytest
 
 from greyrisk import AssessmentInput, IndexDefinition, Orientation, standardize_all
-from greyrisk.io import _ROW_FIELDS, _metadata, _rows
+from greyrisk.io import _ROW_FIELDS, _input_fields, _metadata, _rows
 from greyrisk.pipeline import load_bundled_case
 
 
@@ -59,6 +58,11 @@ def input_to_dict(inp):
     return {**_metadata(inp), "areas": [{"name": a, "values": v} for a, v in areas]}
 
 
+def input_from_dict(doc):
+    """The input of a json-schema document, typed and checked as a JSON file's is."""
+    return AssessmentInput(*_input_fields(doc))
+
+
 def input_to_json(inp):
     return json.dumps(input_to_dict(inp), indent=2)
 
@@ -105,16 +109,6 @@ DEGENERATE_MATRICES = (
     [[3.0, 6.0], [3.0, 0.0]],
     [[2.0, 4.0], [6.0, 5.0]],
 )
-
-
-@pytest.fixture(autouse=True)
-def collector_left_enabled():
-    """Fail a test that leaves the cyclic garbage collector disabled, and enable it,
-    so that a leaked pause cannot change how much memory later tests hold."""
-    yield
-    if not gc.isenabled():
-        gc.enable()
-        pytest.fail("the test left the cyclic garbage collector disabled")
 
 
 @pytest.fixture(scope="session")

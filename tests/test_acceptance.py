@@ -6,8 +6,10 @@ lines on a green run.
 
 import csv
 import json
+import re
 import time
 from contextlib import contextmanager
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -216,3 +218,18 @@ def test_criterion_7_io_round_trip_and_trace(tmp_path):
             else:
                 raise AssertionError(f"{f.name}: unexpected shape {shape}")
         assert shapes == {"full": 8, "window": 14}
+
+
+def test_readme_library_examples_run_on_the_bundled_case(capsys):
+    """README's fenced python blocks, run in turn with "data.json" the bundled case's file."""
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 2
+    namespace = {}
+    with resources.as_file(resources.files("greyrisk").joinpath("data/wui-case.json")) as path:
+        for block in blocks:
+            exec(block.replace('"data.json"', repr(str(path))), namespace)
+    assert namespace["gamma_pos"].shape == (3,)
+    report = run_assessment(load_bundled_case())
+    by_name = dict(zip(report.result.names, report.result.gamma_pos))
+    assert namespace["gamma_pos"].tolist() == [by_name[f"area{k}"] for k in (1, 2, 3)]
+    assert capsys.readouterr().out.split()[:2] == ["area3", "1"]

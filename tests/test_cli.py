@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import csv
+import importlib.metadata
 import io
 import json
 import os
@@ -334,6 +335,23 @@ def test_module_invocation_smoke():
     )
     assert proc.returncode == 0
     assert "area3" in proc.stdout
+
+
+def test_console_script_entry_point_prints_the_demo(monkeypatch, capsys):
+    """The [project.scripts] entry that an install makes the `greyrisk` command, resolved
+    as an installer resolves it and run as `greyrisk demo`."""
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    repo = Path(__file__).parents[1]
+    with open(repo / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["greyrisk"]
+    assert target == "greyrisk.cli:entrypoint"
+    entrypoint = importlib.metadata.EntryPoint("greyrisk", target, "console_scripts").load()
+    monkeypatch.setattr(sys, "argv", ["greyrisk", "demo"])
+    with pytest.raises(SystemExit) as exc:
+        entrypoint()
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.encode("utf-8") == (repo / "tests" / "golden" / "first-column-d2.txt").read_bytes()
 
 
 def test_zeroing_sensitivity_script_prints_the_pinned_table():

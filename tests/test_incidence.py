@@ -1,3 +1,4 @@
+import collections
 from unittest import mock
 
 import numpy as np
@@ -6,14 +7,23 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from greyrisk import ZeroingMode, incidence, incidence_family, local_volume, zeroing_image
-from greyrisk.incidence import grey_coefficients
+from greyrisk import ZeroingMode, incidence, incidence_degrees, local_volume, zeroing_image
+from greyrisk.incidence import area_volume_diffs, grey_coefficients
+
+Family = collections.namedtuple("Family", "d_max d_min degrees volume_diffs")
+
+
+def volume_diffs(reference_volume, volumes):
+    """The (n, m-1, T-1) array D of every area's absolute local volume differences."""
+    ref, vols = np.asarray(reference_volume, dtype=float), np.asarray(volumes, dtype=float)
+    return np.array(list(area_volume_diffs(ref, vols)))
 
 
 def family(reference, factors, mode=ZeroingMode.FIRST_COLUMN):
-    """Incidence of each factor matrix against the reference matrix."""
-    return incidence_family(local_volume(zeroing_image(reference, mode)),
-                            local_volume(zeroing_image(np.stack(factors), mode)))
+    """Incidence of each factor matrix against the reference matrix, and its D."""
+    ref = local_volume(zeroing_image(reference, mode))
+    vols = local_volume(zeroing_image(np.stack(factors), mode))
+    return Family(*incidence_degrees(ref, vols), volume_diffs(ref, vols))
 
 
 class TestZeroingImage:
@@ -86,22 +96,19 @@ class TestVolumeDifference:
 
     def test_self_difference_is_zero(self):
         d = np.array([[1.0, -2.0]])
-        np.testing.assert_array_equal(incidence_family(d, d[None]).volume_diffs,
-                                      [[[0.0, 0.0]]])
+        np.testing.assert_array_equal(volume_diffs(d, d[None]), [[[0.0, 0.0]]])
 
     def test_absolute_values(self):
-        np.testing.assert_array_equal(
-            incidence_family([[1.0, -2.0]], [[[0.5, 1.0]]]).volume_diffs, [[[0.5, 3.0]]]
-        )
+        np.testing.assert_array_equal(volume_diffs([[1.0, -2.0]], [[[0.5, 1.0]]]),
+                                      [[[0.5, 3.0]]])
 
     def test_symmetric(self):
         a, b = np.array([[1.0, 2.0]]), np.array([[-3.0, 5.0]])
-        np.testing.assert_array_equal(incidence_family(a, b[None]).volume_diffs,
-                                      incidence_family(b, a[None]).volume_diffs)
+        np.testing.assert_array_equal(volume_diffs(a, b[None]), volume_diffs(b, a[None]))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape mismatch"):
-            incidence_family(np.zeros((2, 2)), np.zeros((1, 2, 3)))
+            incidence_degrees(np.zeros((2, 2)), np.zeros((1, 2, 3)))
 
 
 class TestIncidenceFamily:
@@ -143,7 +150,7 @@ class TestIncidenceFamily:
 
     def test_empty_family_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
-            incidence_family(np.zeros((1, 1)), np.zeros((0, 1, 1)))
+            incidence_degrees(np.zeros((1, 1)), np.zeros((0, 1, 1)))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape mismatch"):
@@ -284,16 +291,17 @@ def test_blockwise_degrees_match_one_shot_mean(vols, block_cells, kind):
     elif kind == "zero":  # every area matches the reference: d_max == d_min == 0
         vols = np.broadcast_to(ref, vols.shape).copy()
     with mock.patch.object(incidence, "BLOCK_CELLS", block_cells):
-        res = incidence_family(ref, vols)
-    assert res.degrees.tobytes() == one_shot_degrees(ref, vols).tobytes()
-    assert res.volume_diffs.tobytes() == np.abs(vols - ref).tobytes()
+        degrees = incidence_degrees(ref, vols)[2]
+        diffs = volume_diffs(ref, vols)
+    assert degrees.tobytes() == one_shot_degrees(ref, vols).tobytes()
+    assert diffs.tobytes() == np.abs(vols - ref).tobytes()
 
 
 def test_blockwise_degrees_with_a_partial_last_block():
     rng = np.random.default_rng(7)
     step = incidence.BLOCK_CELLS // (6 * 8)
     vols = rng.normal(size=(2 * step + 3, 6, 8))
-    assert incidence_family(vols[1], vols).degrees.tobytes() == \
+    assert incidence_degrees(vols[1], vols)[2].tobytes() == \
         one_shot_degrees(vols[1], vols).tobytes()
     assert local_volume(vols).tobytes() == one_shot_volume(vols).tobytes()
     assert local_volume(vols[:0]).shape == (0, 5, 7)

@@ -2,6 +2,7 @@ import ast
 import copy
 import csv
 import dataclasses
+import functools
 import gc
 import hashlib
 import io
@@ -33,7 +34,6 @@ from greyrisk import io as gio
 from greyrisk.io import (
     compute_fingerprint,
     emit_report,
-    input_from_dict,
     render_csv,
     render_json,
     render_text,
@@ -42,6 +42,7 @@ from greyrisk.model import OrientationKind
 from greyrisk.pipeline import load_bundled_case
 
 from conftest import (
+    input_from_dict,
     input_to_dict,
     input_to_json,
     make_input,
@@ -261,74 +262,6 @@ def test_json_read_errors_keep_their_messages(data, message, tmp_path):
     assert str(exc.value) == f"{path}{message}"
 
 
-def _collector_cases(tmp_path, case_dict):
-    """(path, the error load_input raises or None) for each way a JSON load can end."""
-    docs = {"valid": case_dict, "wrong-shape": copy.deepcopy(case_dict),
-            "per-area": copy.deepcopy(case_dict)}
-    for row in docs["wrong-shape"]["areas"][1]["values"]:
-        row.append(1.0)
-    docs["per-area"]["areas"][1]["values"][0][0] = True
-    texts = {name: json.dumps(doc) for name, doc in docs.items()}
-    texts.update({"malformed": '{"indices": [,]}', "deep": "[" * 200_000 + "]" * 200_000})
-    errors = {"valid": None, "wrong-shape": ValidationError, "per-area": InputFormatError,
-              "malformed": InputFormatError, "deep": InputFormatError}
-    for name, text in texts.items():
-        (tmp_path / f"{name}.json").write_text(text)
-    return {name: (tmp_path / f"{name}.json", errors[name]) for name in texts}
-
-
-class TestCollectorPause:
-    """A JSON dataset is parsed and typed with the cyclic garbage collector disabled."""
-
-    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
-    def test_load_leaves_the_collector_as_it_found_it(self, tmp_path, case_dict, enabled,
-                                                      monkeypatch):
-        per_area = []
-        monkeypatch.setattr(gio, "_json_areas",
-                            lambda entries, read=gio._json_areas: per_area.append(1) or
-                            read(entries))
-        for name, (path, error) in _collector_cases(tmp_path, case_dict).items():
-            (gc.enable if enabled else gc.disable)()
-            try:
-                if error is None:
-                    load_input(path)
-                else:
-                    with pytest.raises(error):
-                        load_input(path)
-                assert gc.isenabled() is enabled, name
-            finally:
-                gc.enable()
-        assert len(per_area) == 2  # the wrong-shaped grid and the true cell
-
-    def test_collector_is_paused_while_the_document_is_typed(self, tmp_path, case_dict,
-                                                             monkeypatch):
-        seen = []
-        monkeypatch.setattr(gio, "_input_fields",
-                            lambda doc, typed=gio._input_fields: seen.append(gc.isenabled())
-                            or typed(doc))
-        path, _ = _collector_cases(tmp_path, case_dict)["valid"]
-        load_input(path)
-        assert seen == [False] and gc.isenabled()
-
-    def test_reading_a_json_dataset_runs_no_collection(self, tmp_path):
-        values = np.random.default_rng(3).uniform(0.0, 100.0, (2000, 15, 6))
-        path = tmp_path / "areas.json"
-        path.write_text(input_to_json(make_input(values)))
-        starts = []
-
-        def record(phase, info):
-            if phase == "start":
-                starts.append(info["generation"])
-
-        gc.collect()  # so that no count left by earlier allocations comes due in the load
-        gc.callbacks.append(record)
-        try:
-            load_input(path)
-        finally:
-            gc.callbacks.remove(record)
-        assert starts == []
-
-
 @st.composite
 def small_inputs(draw):
     """Valid inputs of 2-3 areas, 2-4 indices of any orientation and 2-3 periods.
@@ -482,6 +415,21 @@ class TestCsvBundle:
             lines = (root / name).read_text().splitlines()
             (root / name).write_text("".join(f"{line}, \n" for line in lines))
         assert compute_fingerprint(load_input(root)) == expected
+
+    def test_utf8_byte_order_marks_are_ignored(self, tmp_path, case_dict):
+        # as Excel's "CSV UTF-8" writes them; a JSON file with one is refused (READ_ERRORS)
+        orientations = ["cost", "intermediate", {"interval": [10, 20]}]
+        for entry, orientation in zip(case_dict["indices"], orientations):
+            entry["orientation"] = orientation
+        root = tmp_path / "bundle"
+        write_bundle(root, case_dict)
+        expected = load_input(root)
+        for name in ("indices.csv", "periods.csv", "area1.csv"):
+            (root / name).write_bytes(b"\xef\xbb\xbf" + (root / name).read_bytes())
+        loaded = load_input(root)
+        assert loaded.values.tobytes() == expected.values.tobytes()
+        assert compute_fingerprint(loaded) == compute_fingerprint(expected)
+        assert input_to_dict(loaded) == case_dict
 
     def test_bad_number_reports_row(self, tmp_path, case_dict):
         root = tmp_path / "bundle"
@@ -638,11 +586,12 @@ def _read_document(doc):
 @example([{"name": "a", "values": [[1.0, True, 3.0], [4.0, 5.0, 6.0]]},
           {"name": "b", "values": [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]}])
 def test_one_pass_json_reader_matches_per_area_reader(areas):
-    """Reading every grid in one pass gives exactly what reading area by area gives."""
-    doc = {**_JSON_META, "areas": areas}
-    with mock.patch.object(gio, "_json_grids", lambda entries, m, T: None):
-        per_area = _read_document(doc)
-    assert _read_document(doc) == per_area
+    """Stacking the grids as ``_grid_hook`` leaves them when it checks for bools gives
+    exactly what reading the document's list grids area by area gives."""
+    text = json.dumps({**_JSON_META, "areas": areas})
+    per_area = _read_document(json.loads(text))  # no list grid is stacked in one pass
+    hooked = json.loads(text, object_hook=functools.partial(gio._grid_hook, bools=True))
+    assert _read_document(hooked) == per_area
 
 
 # grids that numpy reads as float64 or int64, with cells that json.dumps writes as true,
@@ -661,9 +610,9 @@ _FILE_CELLS = st.one_of(_ODD_CELLS, st.sampled_from(
 @example([{"name": "a", "values": [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]},
           {"name": "b", "values": [[1, 2, 3], [4, 5, 6]]}], "false", True)
 def test_json_file_reads_as_the_per_area_reader_reads_its_document(areas, word, in_name):
-    """A JSON file, its grids parsed straight into arrays where no true or false is
-    spelled anywhere in the text, loads exactly as its parsed document does when
-    read area by area."""
+    """A JSON file, its clean grids parsed straight into arrays, and checked for bools
+    where the text spells true or false, loads exactly as its parsed document does
+    when read area by area."""
     doc = {**_JSON_META, "areas": areas}
     if word and in_name and areas and isinstance(areas[0], dict):
         areas[0]["name"] = f"{word} north"
@@ -683,7 +632,7 @@ def test_json_file_reads_as_the_per_area_reader_reads_its_document(areas, word, 
             assert (inp.area_names, inp.values.shape, inp.values.tobytes()) == per_area
 
 
-def test_plain_json_documents_never_reach_the_per_area_reader(monkeypatch):
+def test_plain_json_documents_never_reach_the_per_area_reader(monkeypatch, tmp_path):
     def refuse(entries):
         raise AssertionError("the areas were read one at a time")
 
@@ -697,7 +646,10 @@ def test_plain_json_documents_never_reach_the_per_area_reader(monkeypatch):
     expected = load_bundled_case()
     monkeypatch.setattr(gio, "_json_areas", refuse)
     assert input_to_dict(load_bundled_case()) == input_to_dict(expected)
-    np.testing.assert_array_equal(input_from_dict(generated).values, values)
+    path = tmp_path / "case.json"
+    for extra in ({}, {"description": "false alarms excluded"}):  # checked for bools
+        path.write_text(json.dumps({**generated, **extra}))
+        np.testing.assert_array_equal(load_input(path).values, values)
 
 
 class TestEmitReport:

@@ -15,10 +15,9 @@ from greyrisk import (
     load_input,
     run_assessment,
 )
-from greyrisk.io import input_from_dict
 from greyrisk.model import OrientationKind, index_extrema, validate_input
 
-from conftest import input_to_dict, input_to_json, make_input
+from conftest import input_from_dict, input_to_dict, input_to_json, make_input
 
 
 def test_bundled_case_is_valid(bundled_input):

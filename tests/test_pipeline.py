@@ -350,7 +350,7 @@ def _run_peak_in_inputs(n, m, T, config, kinds=KINDS + (Orientation.interval(0.2
 
 
 @pytest.mark.parametrize("n, m, T", [(2000, 15, 6), (500, 50, 24)])
-def test_untraced_run_peak_stays_under_two_and_a_half_inputs(n, m, T):
+def test_untraced_run_peak_is_the_volumes_and_one_block(n, m, T):
     """Beside the input a run holds the (n, m-1, T-1) local volumes and temporaries of
     one block of areas (1.22 and 1.08 inputs); the bound is 1.35 inputs."""
     ratio = _run_peak_in_inputs(n, m, T, RunConfig())
@@ -368,7 +368,7 @@ def test_untraced_run_peak_at_20000_areas_is_under_one_input(kinds):
 
 
 @pytest.mark.parametrize("n, m, T", [(2000, 15, 6), (500, 50, 24)])
-def test_traced_run_peak_stays_under_three_and_a_half_inputs(n, m, T, tmp_path):
+def test_traced_run_peak_keeps_no_stage(n, m, T, tmp_path):
     """A traced run writes each stage from a block or one block at a time, so it keeps
     no stage (1.32 and 1.09 inputs); the bound is 1.45 inputs."""
     ratio = _run_peak_in_inputs(n, m, T, RunConfig(trace_dir=tmp_path))
