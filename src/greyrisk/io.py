@@ -1,6 +1,6 @@
 """Dataset ingestion, report rendering, and trace emission.
 
-Two input formats normalize to the same AssessmentInput:
+Three input formats normalize to the same AssessmentInput:
 
 json            {"indices": [{"id", "name", "orientation", "weight"}, ...],
                  "periods": [{"label", "weight"}, ...],
@@ -15,7 +15,15 @@ csv-bundle      a directory with indices.csv (id,name,orientation,weight,
                 the area name is the file stem. indices.csv and periods.csv
                 rows are read into json entries and typed as json is.
 
-Values are laid out row = index, column = period throughout.
+npy-bundle      a directory with meta.json, the json document without the
+                areas' "values" but with "areas": [names], and values.npy,
+                the (n, m, T) float64 scores as np.save writes them. The
+                scores are read as a read-only map of the file, which the
+                input holds without a copy; the file must not be rewritten
+                while the input is in use.
+
+Values are laid out row = index, column = period throughout. Each loader hands
+the score array it built to the AssessmentInput, which holds it without a copy.
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ from .model import (
     Orientation,
     OrientationKind,
     ValidationError,
+    _Built,
     grid_errors,
 )
 from .ranking import RiskLevel
@@ -305,8 +314,8 @@ def _parse_json(path: Path):
 
 
 def _load_json(path: Path) -> AssessmentInput:
-    fields = _input_fields(_parse_json(path))  # the document and its grids are freed here
-    return AssessmentInput(*fields)
+    *fields, values = _input_fields(_parse_json(path))  # the document and its grids are freed here
+    return AssessmentInput(*fields, _Built(values))
 
 
 def _csv_grid(path: Path) -> np.ndarray:
@@ -402,23 +411,58 @@ def _load_csv_bundle(root: Path) -> AssessmentInput:
     indices, labels, time_weights = _typed(_csv_entries(idx_path), _csv_entries(per_path))
     names, values = _stack(len(indices), len(labels), len(area_files),
                            ((p.stem, _csv_grid(p)) for p in area_files))
+    return AssessmentInput(indices, labels, time_weights, names, _Built(values))
+
+
+def _load_npy_bundle(root: Path) -> AssessmentInput:
+    meta_path, values_path = root / "meta.json", root / "values.npy"
+    for required in (meta_path, values_path):
+        if not required.is_file():
+            raise InputFormatError(f"npy bundle {root}: missing {required.name}")
+    meta = _parse_json(meta_path)
+    index_entries, period_entries, names = (
+        _require(meta, field, str(meta_path), list) for field in ("indices", "periods", "areas")
+    )
+    indices, labels, time_weights = _typed(_located("meta.json indices", index_entries),
+                                           _located("meta.json periods", period_entries))
+    try:
+        values = np.load(values_path, mmap_mode="r", allow_pickle=False)
+    except (ValueError, EOFError) as exc:  # not an .npy file, truncated, or pickled objects
+        raise InputFormatError(f"{values_path}: {exc}") from exc
+    if not isinstance(values, np.ndarray):  # an .npz archive
+        values.close()
+        raise InputFormatError(f"{values_path}: an .npz archive, not an .npy array")
+    if values.dtype.kind != "f" or values.dtype.itemsize != 8:
+        raise InputFormatError(f"{values_path}: scores must be float64, got {values.dtype}")
+    shape = (len(names), len(indices), len(labels))
+    if values.shape != shape:
+        raise InputFormatError(
+            f"{values_path}: shape {values.shape} does not match meta.json's "
+            f"{shape[0]} areas x {shape[1]} indices x {shape[2]} periods"
+        )
     return AssessmentInput(indices, labels, time_weights, names, values)
 
 
-_LOADERS = {"json": _load_json, "csv-bundle": _load_csv_bundle}
+_LOADERS = {"json": _load_json, "csv-bundle": _load_csv_bundle, "npy-bundle": _load_npy_bundle}
 INPUT_FORMATS = tuple(_LOADERS)
 
 
 def load_input(path, fmt: str | None = None) -> AssessmentInput:
-    """Parse a dataset file (json) or directory (csv-bundle) into a validated input.
+    """Parse a dataset file (json) or directory (csv-bundle, npy-bundle) into a validated
+    input, which holds the score array the loader built, or the npy map, without a copy.
 
-    Parse problems, text that is not UTF-8 included, raise InputFormatError with a
-    file/field locus; ValidationError names an m or T below 2, else lists every
-    wrong-shaped area grid, else every violation.
+    With no ``fmt``, a directory holding values.npy is read as an npy bundle, any
+    other directory as a csv bundle, and a file as json. Parse problems, text that is
+    not UTF-8 included, raise InputFormatError with a file/field locus; ValidationError
+    names an m or T below 2, else lists every wrong-shaped area grid, else every
+    violation.
     """
     path = Path(path)
     if fmt is None:
-        fmt = "csv-bundle" if path.is_dir() else "json"
+        if path.is_dir():
+            fmt = "npy-bundle" if (path / "values.npy").is_file() else "csv-bundle"
+        else:
+            fmt = "json"
     if fmt not in _LOADERS:
         raise InputFormatError(f"unknown input format '{fmt}' (allowed: {', '.join(_LOADERS)})")
     return _LOADERS[fmt](path)

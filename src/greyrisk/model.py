@@ -77,6 +77,10 @@ class AssessmentInput:
     The leading axis of ``values`` is aligned with ``area_names``. Weight
     vectors are kept as given; renormalization to an exact unit sum happens at
     run time and is recorded in the report's config echo.
+
+    ``values`` is held as a read-only C-ordered float64 array: the given array
+    itself when nobody can make it writable (a read-only file map), else a copy.
+    Validation records each index's extrema on the input as ``_extrema``.
     """
 
     indices: tuple[IndexDefinition, ...]
@@ -89,15 +93,55 @@ class AssessmentInput:
         object.__setattr__(self, "indices", tuple(self.indices))
         object.__setattr__(self, "periods", tuple(self.periods))
         object.__setattr__(self, "area_names", tuple(self.area_names))
-        for field in ("time_weights", "values"):
-            arr = np.array(getattr(self, field), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, field, arr)
+        object.__setattr__(self, "time_weights", _read_only(np.array(self.time_weights, float)))
+        values = self.values
+        if type(values) is _Built:
+            values = values.array
+        elif not _never_writable(values):
+            values = np.array(values, dtype=float, order="C")
+        object.__setattr__(self, "values", _read_only(np.asarray(values)))
         validate_input(self)
 
     @property
     def index_weights(self) -> np.ndarray:
         return np.array([d.weight for d in self.indices], dtype=float)
+
+
+class _Built:
+    """The (n, m, T) float64 array a loader built for one input and holds no other
+    reference to: the input takes the array itself instead of a copy."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+def _never_writable(values) -> bool:
+    """Whether ``values`` is a C-ordered float64 array that nobody can make writable.
+
+    That holds when no array on its chain of bases is writable or owns its memory (its
+    owner could set it writable again) and the chain ends in an object whose buffer is
+    read-only, as the map of a file opened for reading is.
+    """
+    if not (isinstance(values, np.ndarray) and values.dtype == np.dtype(float)
+            and values.flags.c_contiguous):
+        return False
+    base = values
+    while isinstance(base, np.ndarray):
+        if base.flags.writeable or base.flags.owndata or base.base is None:
+            return False
+        base = base.base
+    try:
+        with memoryview(base) as view:
+            return view.readonly
+    except TypeError:  # no buffer to ask
+        return False
 
 
 def _check_orientation(d: IndexDefinition, errors: list[str]) -> None:
@@ -141,9 +185,13 @@ def index_extrema(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _check_ranges(
     indices: tuple[IndexDefinition, ...], values: np.ndarray, errors: list[str]
-) -> None:
-    """Standardization divides by each index's range; it must be a finite float."""
-    lows, highs = index_extrema(values)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Standardization divides by each index's range; it must be a finite float.
+
+    Returns the extrema of ``values`` (``index_extrema``), before interval bounds widen them.
+    """
+    extrema = index_extrema(values)
+    lows, highs = (e.copy() for e in extrema)
     for j, d in enumerate(indices):
         if d.orientation.kind is OrientationKind.INTERVAL:
             for v in (d.orientation.interval_low, d.orientation.interval_high):
@@ -156,6 +204,7 @@ def _check_ranges(
             f"index '{indices[j].id}': range of values and bounds "
             f"{lows[j]:.4g} .. {highs[j]:.4g} overflows float64"
         )
+    return extrema
 
 
 def _check_string(value, field: str, errors: list[str]) -> bool:
@@ -179,7 +228,9 @@ def grid_errors(m: int, T: int) -> list[str]:
 def validate_input(inp: AssessmentInput) -> AssessmentInput:
     """Check every input invariant; raise ValidationError listing all violations.
 
-    Runs when an AssessmentInput is built; returns the input unchanged when valid.
+    Runs when an AssessmentInput is built; returns the input when valid, with the
+    extrema of each index (``index_extrema`` of its values) recorded on it as
+    ``_extrema`` for the run's standardization.
     """
     m, T, n = len(inp.indices), len(inp.periods), len(inp.area_names)
     errors = grid_errors(m, T)
@@ -231,7 +282,7 @@ def validate_input(inp: AssessmentInput) -> AssessmentInput:
         if abs(theta_sum - 1.0) > WEIGHT_SUM_TOLERANCE:
             errors.append(f"time weights sum {theta_sum:.2f} outside tolerance")
 
-    values = inp.values
+    values, extrema = inp.values, None
     if values.shape != (n, m, T):
         got = "x".join(str(k) for k in values.shape)
         errors.append(f"values: expected {n}x{m}x{T} array, got {got}")
@@ -249,9 +300,12 @@ def validate_input(inp: AssessmentInput) -> AssessmentInput:
             )
         if area_finite.any():
             usable = values if area_finite.all() else values[area_finite]
-            _check_ranges(inp.indices, usable, errors)
+            extrema = _check_ranges(inp.indices, usable, errors)
 
     if errors:
         raise ValidationError(errors)
+    for arr in extrema:
+        arr.setflags(write=False)
+    object.__setattr__(inp, "_extrema", extrema)
     return inp
 

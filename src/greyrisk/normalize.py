@@ -74,16 +74,19 @@ def _selecting(mask: np.ndarray) -> np.ndarray | None:
     return mask if mask.any() else None
 
 
-def standardization(values: np.ndarray, indices: Sequence[IndexDefinition]) -> Standardization:
+def standardization(values: np.ndarray, indices: Sequence[IndexDefinition],
+                    extrema: tuple) -> Standardization:
     """The per-index operands of standardizing raw scores of shape (n, m, T).
 
-    Index j of ``indices`` describes row j of every area. The extrema, the cross-area
-    medians and every span are taken over all n areas and T periods. Interval bounds
-    must satisfy low <= high, as a validated input's do.
+    Index j of ``indices`` describes row j of every area. ``extrema`` are the (lows,
+    highs) that ``index_extrema`` gives for ``values``, as validation records them on an
+    input (``AssessmentInput._extrema``). The cross-area medians and every span are
+    taken over all n areas and T periods. Interval bounds must satisfy low <= high, as
+    a validated input's do.
     """
     values = np.asarray(values, dtype=float)
     m, T = values.shape[1:]
-    lows, highs = index_extrema(values)
+    lows, highs = extrema
     spans = highs - lows
     sub, div = np.zeros((m, T)), np.ones((m, T))
     absolute, complement = np.zeros((m, 1), bool), np.zeros((m, 1), bool)
@@ -158,4 +161,4 @@ def standardize_all(values: np.ndarray, indices: Sequence[IndexDefinition]) -> n
     it as one block (``standardize``), as ``run_assessment`` applies them block by block.
     """
     values = np.asarray(values, dtype=float)
-    return standardize(values, standardization(values, indices))
+    return standardize(values, standardization(values, indices, index_extrema(values)))

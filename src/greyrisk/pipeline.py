@@ -200,7 +200,8 @@ def _ranked(inp: AssessmentInput, config: RunConfig, trace: gio.TraceWriter) -> 
     theta, theta_renormed = _renormalized(theta_raw)
 
     mode = config.zeroing_mode
-    c_pos, c_neg, vol = _ideals_and_volumes(inp.values, inp.indices, lam, theta, mode, trace)
+    c_pos, c_neg, vol = _ideals_and_volumes(inp.values, inp.indices, lam, theta, mode, trace,
+                                            inp._extrema)
     trace.shared("positive_ideal", c_pos)
     trace.shared("negative_ideal", c_neg)
 
@@ -247,17 +248,18 @@ def _ranked(inp: AssessmentInput, config: RunConfig, trace: gio.TraceWriter) -> 
 
 
 def _ideals_and_volumes(values: np.ndarray, indices, lam: np.ndarray, theta: np.ndarray,
-                        mode: ZeroingMode, trace: gio.TraceWriter):
+                        mode: ZeroingMode, trace: gio.TraceWriter, extrema: tuple):
     """Both ideal matrices and every area's (m-1, T-1) local volumes, in one pass over blocks.
 
-    The standardization's operands are taken from the whole input first. Each block of
-    areas is then standardized and weighted in one buffer, folded into the running
-    ideals, re-based in place, and its volumes written into one (n, m-1, T-1) array.
+    The standardization's operands are taken from the whole input and its index
+    ``extrema`` first. Each block of areas is then standardized and weighted in one
+    buffer, folded into the running ideals, re-based in place, and its volumes written
+    into one (n, m-1, T-1) array.
     Every cell takes the operations it would take in the whole array, and maxima and
     minima are exact, so no result depends on where the blocks end.
     """
     n, m, T = values.shape
-    operands = standardization(values, indices)
+    operands = standardization(values, indices, extrema)
     vol = np.empty((n, m - 1, T - 1))
     c_pos = c_neg = buffer = None
     for block in _blocks(n, m * T):

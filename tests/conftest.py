@@ -101,6 +101,14 @@ def write_bundle(root, case_dict):
                 w.writerow(row)
 
 
+def write_npy_bundle(root, inp, order="C"):
+    """Write an input as an npy bundle under ``root``, its scores in ``order``."""
+    root.mkdir(exist_ok=True)
+    np.save(root / "values.npy", np.asarray(inp.values, order=order))
+    meta = {**_metadata(inp), "areas": list(inp.area_names)}
+    (root / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+
+
 # Three tiny areas where area1 sits strictly farthest from both ideal
 # matrices, so both of its incidence degrees are exactly zero and the
 # superiority degree is undefined.

@@ -28,6 +28,7 @@ from greyrisk import (
     run_assessment,
     superiority_degree,
 )
+from greyrisk.io import compute_fingerprint
 from greyrisk.pipeline import load_bundled_case
 
 from conftest import input_to_dict, input_to_json, make_input, standardized
@@ -220,14 +221,18 @@ def test_criterion_7_io_round_trip_and_trace(tmp_path):
         assert shapes == {"full": 8, "window": 14}
 
 
-def test_readme_library_examples_run_on_the_bundled_case(capsys):
-    """README's fenced python blocks, run in turn with "data.json" the bundled case's file."""
+def test_readme_library_examples_run_on_the_bundled_case(capsys, tmp_path, monkeypatch):
+    """README's fenced python blocks, run in turn in an empty directory with "data.json"
+    the bundled case's file; the first writes it as an npy bundle."""
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
-    assert len(blocks) == 2
+    assert len(blocks) == 3
+    monkeypatch.chdir(tmp_path)
     namespace = {}
     with resources.as_file(resources.files("greyrisk").joinpath("data/wui-case.json")) as path:
         for block in blocks:
             exec(block.replace('"data.json"', repr(str(path))), namespace)
+    written = load_input(tmp_path / "data-npy")
+    assert compute_fingerprint(written) == compute_fingerprint(load_bundled_case())
     assert namespace["gamma_pos"].shape == (3,)
     report = run_assessment(load_bundled_case())
     by_name = dict(zip(report.result.names, report.result.gamma_pos))

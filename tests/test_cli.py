@@ -11,6 +11,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,13 @@ from hypothesis import strategies as st
 from greyrisk.cli import main
 from greyrisk.pipeline import load_bundled_case
 
-from conftest import DEGENERATE_MATRICES, input_to_json, make_input, write_bundle
+from conftest import (
+    DEGENERATE_MATRICES,
+    input_to_json,
+    make_input,
+    write_bundle,
+    write_npy_bundle,
+)
 
 
 @pytest.fixture
@@ -326,6 +333,112 @@ def test_csv_bundle_input(case_json, tmp_path, capsys):
     assert main(["assess", "--input", str(root)]) == 0
     out = capsys.readouterr().out
     assert out.index("area3") < out.index("area1")
+
+
+def test_npy_bundle_input_prints_the_golden_report(tmp_path, capsys):
+    write_npy_bundle(tmp_path / "bundle", load_bundled_case())
+    assert main(["assess", "--input", str(tmp_path / "bundle")]) == 0
+    golden = Path(__file__).parent / "golden" / "first-column-d2.txt"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
+def test_assess_takes_each_index_extrema_once(case_json, monkeypatch, capsys):
+    import greyrisk.model as model
+    import greyrisk.normalize as normalize
+
+    calls = []
+
+    def counted(values):
+        calls.append(values.shape)
+        return model_index_extrema(values)
+
+    model_index_extrema = model.index_extrema
+    monkeypatch.setattr(model, "index_extrema", counted)
+    monkeypatch.setattr(normalize, "index_extrema", counted)
+    assert main(["assess", "--input", str(case_json)]) == 0
+    assert calls == [(3, 15, 6)]
+
+
+_CASE_VALUES = load_bundled_case().values
+
+
+def _save(name, array, **kwargs):
+    return lambda root: np.save(root / name, array, **kwargs)
+
+
+def _edit_meta(edit):
+    def write(root):
+        meta = json.loads((root / "meta.json").read_text(encoding="utf-8"))
+        edit(meta)
+        (root / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+    return write
+
+
+def _save_npz(root):
+    with open(root / "values.npy", "wb") as fh:
+        np.savez(fh, _CASE_VALUES)
+
+
+_NPY_BUNDLE_EDITS = {
+    "truncated": ("values.npy", lambda root: (root / "values.npy").write_bytes(
+        (root / "values.npy").read_bytes()[:-100])),
+    "truncated-header": ("values.npy", lambda root: (root / "values.npy").write_bytes(
+        (root / "values.npy").read_bytes()[:40])),
+    "int": ("values.npy", _save("values.npy", _CASE_VALUES.astype(np.int64))),
+    "bool": ("values.npy", _save("values.npy", _CASE_VALUES > 50.0)),
+    "float32": ("values.npy", _save("values.npy", _CASE_VALUES.astype(np.float32))),
+    "ndim": ("values.npy", _save("values.npy", _CASE_VALUES.reshape(3, 90))),
+    "shape": ("values.npy", _save("values.npy", _CASE_VALUES[:, :, :5])),
+    "pickled": ("values.npy", _save("values.npy", np.array([{"a": 1}, None]),
+                                    allow_pickle=True)),
+    "names": ("meta.json", _edit_meta(lambda meta: meta["areas"].pop())),
+    "indices": ("meta.json", _edit_meta(lambda meta: meta["indices"].pop())),
+    "periods": ("meta.json", _edit_meta(lambda meta: meta["periods"].pop())),
+    "npz": ("values.npy", _save_npz),
+    "no-meta": ("meta.json", lambda root: os.remove(root / "meta.json")),
+    "no-values": ("values.npy", lambda root: os.remove(root / "values.npy")),
+    "non-utf8-meta": ("meta.json", lambda root: (root / "meta.json").write_bytes(
+        (root / "meta.json").read_bytes() + b"\xff")),
+}
+
+
+@pytest.mark.parametrize("report_format", ["text", "csv"])
+@pytest.mark.parametrize("name, edit", _NPY_BUNDLE_EDITS.values(), ids=_NPY_BUNDLE_EDITS)
+def test_broken_npy_bundles_keep_the_error_contract(tmp_path, capsys, name, edit,
+                                                    report_format):
+    """A broken npy bundle exits 0-3 naming the broken file, with no traceback or NaN."""
+    root = tmp_path / "bundle"
+    write_npy_bundle(root, load_bundled_case())
+    edit(root)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would have reached stderr
+        code = main(["assess", "--input", str(root), "--input-format", "npy-bundle",
+                     "--format", report_format])
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2, 3), err
+    assert name in err
+    assert "Traceback" not in err
+    assert "nan" not in out.lower()
+    assert (code == 0) == bool(out) == (not err)
+
+
+@given(st.integers(0, 5000))
+@settings(max_examples=40, deadline=None)
+def test_npy_bundle_cut_anywhere_keeps_the_error_contract(length):
+    """values.npy cut to any length exits 2 naming the file, with no traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        root = Path(tmp) / "bundle"
+        write_npy_bundle(root, load_bundled_case())
+        data = (root / "values.npy").read_bytes()
+        (root / "values.npy").write_bytes(data[:length % len(data)])
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["assess", "--input", str(root)])
+    assert code == 2, err.getvalue()
+    assert "values.npy" in err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert not out.getvalue()
 
 
 def test_module_invocation_smoke():

@@ -50,6 +50,7 @@ from conftest import (
     report_to_dict,
     standardized,
     write_bundle,
+    write_npy_bundle,
 )
 
 # the bundled case's reports in each zeroing mode, byte for byte (JSON duration 0.0)
@@ -110,9 +111,16 @@ class TestLoadJson:
         assert peak < 8e6
 
     @staticmethod
-    def _load_peak_in_scores(path, values):
-        """tracemalloc peak of loading ``path`` as a multiple of the score array's size."""
-        path.write_text(json.dumps(input_to_dict(make_input(values))))
+    def _load_peak_in_scores(path, values, write=None):
+        """tracemalloc peak of loading ``path`` as a multiple of the score array's size;
+        ``write(path, input)`` writes the file, by default as json. The area names sort
+        in their order, as a csv bundle's files are stacked."""
+        inp = make_input(values, names=[f"area{k:05d}" for k in range(len(values))])
+        if write is None:
+            path.write_text(json.dumps(input_to_dict(inp)))
+        else:
+            write(path, inp)
+        del inp
         gc.collect()
         tracemalloc.start()
         try:
@@ -135,6 +143,18 @@ class TestLoadJson:
         # and so is never held beside its bytes
         values = np.random.default_rng(3).uniform(0.0, 100.0, (2000, 15, 6))
         assert self._load_peak_in_scores(tmp_path / "areas.json", values) <= 4.3
+
+    def test_csv_bundle_load_peak_is_one_score_array(self, tmp_path):
+        # the stacked scores are handed to the input, not copied, and each area file is
+        # freed once it is stacked
+        values = np.round(np.random.default_rng(3).uniform(0.0, 100.0, (500, 50, 24)), 3)
+        write = lambda root, inp: write_bundle(root, input_to_dict(inp))  # noqa: E731
+        assert self._load_peak_in_scores(tmp_path / "bundle", values, write) <= 1.2
+
+    def test_npy_bundle_load_peak_holds_no_score_array(self, tmp_path):
+        # the scores are a map of the file, which tracemalloc does not trace
+        values = np.random.default_rng(3).uniform(0.0, 100.0, (500, 50, 24))
+        assert self._load_peak_in_scores(tmp_path / "bundle", values, write_npy_bundle) <= 0.1
 
     def test_array_grids_read_as_their_lists_and_the_document_is_left_alone(self, case_dict):
         before = copy.deepcopy(case_dict)
@@ -307,6 +327,18 @@ class TestRoundTrip:
                 assert input_to_dict(loaded) == doc
                 assert compute_fingerprint(loaded) == compute_fingerprint(inp)
 
+    @settings(max_examples=40, deadline=None)
+    @given(inp=small_inputs())
+    def test_json_csv_and_npy_bundles_hash_equal(self, inp):
+        # the area names a0, a1, ... sort as listed, so the csv files stack in that order
+        with tempfile.TemporaryDirectory() as tmp:
+            path, csv_root, npy_root = (Path(tmp) / name for name in ("case.json", "csv", "npy"))
+            path.write_text(input_to_json(inp))
+            write_bundle(csv_root, input_to_dict(inp))
+            write_npy_bundle(npy_root, inp)
+            fingerprints = {compute_fingerprint(load_input(p)) for p in (path, csv_root, npy_root)}
+        assert fingerprints == {compute_fingerprint(inp)}
+
     def test_json_round_trip_is_lossless(self, bundled_input, tmp_path):
         path = tmp_path / "case.json"
         path.write_text(input_to_json(bundled_input))
@@ -348,6 +380,57 @@ class TestFingerprint:
         assert compute_fingerprint(input_from_dict(edited)) != compute_fingerprint(
             input_from_dict(case_dict)
         )
+
+
+class TestNpyBundle:
+    def test_bundle_loads_identically_to_json(self, tmp_path, bundled_input):
+        root = tmp_path / "bundle"
+        write_npy_bundle(root, bundled_input)
+        loaded = load_input(root)  # a directory holding values.npy
+        assert input_to_dict(loaded) == input_to_dict(bundled_input)
+        assert compute_fingerprint(loaded) == compute_fingerprint(bundled_input)
+
+    def test_scores_are_held_as_the_read_only_map(self, tmp_path, bundled_input):
+        root = tmp_path / "bundle"
+        write_npy_bundle(root, bundled_input)
+        inp = load_input(root, "npy-bundle")
+        assert isinstance(inp.values.base, np.memmap)
+        with pytest.raises(ValueError):
+            inp.values.setflags(write=True)
+
+    def test_fortran_ordered_scores_load_as_c_ordered_ones(self, tmp_path, bundled_input):
+        write_npy_bundle(tmp_path / "c", bundled_input)
+        write_npy_bundle(tmp_path / "f", bundled_input, order="F")
+        c_order, f_order = (load_input(tmp_path / k) for k in ("c", "f"))
+        assert not isinstance(f_order.values.base, np.memmap)  # copied into C order
+        assert f_order.values.flags.c_contiguous
+        assert report_to_dict(run_assessment(f_order)) == {
+            **report_to_dict(run_assessment(c_order)), "duration_seconds": mock.ANY}
+
+    def test_big_endian_scores_load_as_native_ones(self, tmp_path, bundled_input):
+        root = tmp_path / "bundle"
+        write_npy_bundle(root, bundled_input)
+        np.save(root / "values.npy", bundled_input.values.astype(">f8"))
+        loaded = load_input(root)
+        assert loaded.values.dtype == np.dtype(float)
+        assert compute_fingerprint(loaded) == compute_fingerprint(bundled_input)
+
+    def test_without_values_npy_a_directory_is_a_csv_bundle(self, tmp_path, case_dict):
+        root = tmp_path / "bundle"
+        write_bundle(root, case_dict)
+        (root / "meta.json").write_text("{}")
+        assert input_to_dict(load_input(root)) == case_dict
+
+    def test_areas_that_disagree_with_the_array_are_named(self, tmp_path, bundled_input):
+        root = tmp_path / "bundle"
+        write_npy_bundle(root, bundled_input)
+        meta = json.loads((root / "meta.json").read_text())
+        meta["areas"].append("area4")
+        (root / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(InputFormatError) as exc:
+            load_input(root)
+        assert str(exc.value) == (f"{root / 'values.npy'}: shape (3, 15, 6) does not match "
+                                  "meta.json's 4 areas x 15 indices x 6 periods")
 
 
 class TestCsvBundle:

@@ -17,7 +17,13 @@ from greyrisk import (
 )
 from greyrisk.model import OrientationKind, index_extrema, validate_input
 
-from conftest import input_from_dict, input_to_dict, input_to_json, make_input
+from conftest import (
+    input_from_dict,
+    input_to_dict,
+    input_to_json,
+    make_input,
+    write_npy_bundle,
+)
 
 
 def test_bundled_case_is_valid(bundled_input):
@@ -253,6 +259,46 @@ def test_input_does_not_share_the_given_array(bundled_input, read_only):
     raw.setflags(write=True)
     raw[0, 0, 0] = 99.0
     assert inp.values[0, 0, 0] == bundled_input.values[0, 0, 0]
+
+
+def test_input_copies_a_read_only_view_of_a_writable_array(bundled_input):
+    raw = np.array(bundled_input.values)
+    view = raw[:]
+    view.setflags(write=False)
+    inp = dataclasses.replace(bundled_input, values=view)
+    assert not np.shares_memory(inp.values, raw)
+    raw[0, 0, 0] = 99.0
+    assert inp.values[0, 0, 0] == bundled_input.values[0, 0, 0]
+
+
+def test_input_copies_a_read_only_view_of_an_owner_the_caller_keeps(bundled_input):
+    owner = np.array(bundled_input.values)
+    owner.setflags(write=False)
+    view = owner[:]  # numpy refuses to make this view writable, but not its owner
+    inp = dataclasses.replace(bundled_input, values=view)
+    owner.setflags(write=True)
+    owner[0, 0, 0] = 99.0
+    assert inp.values[0, 0, 0] == bundled_input.values[0, 0, 0]
+
+
+def test_input_keeps_a_read_only_file_map(bundled_input, tmp_path):
+    write_npy_bundle(tmp_path / "bundle", bundled_input)
+    mapped = np.load(tmp_path / "bundle" / "values.npy", mmap_mode="r", allow_pickle=False)
+    inp = dataclasses.replace(bundled_input, values=mapped)
+    assert np.shares_memory(inp.values, mapped)
+    with pytest.raises(ValueError):
+        inp.values.setflags(write=True)
+    assert input_to_dict(inp) == input_to_dict(bundled_input)
+
+
+def test_validation_records_the_extrema_before_interval_bounds_widen_them(bundled_input):
+    doc = input_to_dict(bundled_input)
+    doc["indices"][0]["orientation"] = {"interval": [-1e3, 1e3]}
+    inp = input_from_dict(doc)
+    lows, highs = inp._extrema
+    np.testing.assert_array_equal(lows, inp.values.min(axis=(0, 2)))
+    np.testing.assert_array_equal(highs, inp.values.max(axis=(0, 2)))
+    assert not (lows.flags.writeable or highs.flags.writeable)
 
 
 def test_all_violations_reported_together():

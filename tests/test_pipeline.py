@@ -32,6 +32,7 @@ from greyrisk import (
 )
 from greyrisk import io as gio
 from greyrisk.io import render_csv, render_json, render_text
+from greyrisk.model import index_extrema
 from greyrisk.pipeline import AreaAssessment, load_bundled_case
 
 import oracle
@@ -413,7 +414,8 @@ def stage_inputs(draw):
 def _blocked_run(values, indices, lam, theta, mode):
     """The run's (c_pos, c_neg, volumes) and its (d_max, d_min, degrees) toward each ideal."""
     c_pos, c_neg, vol = pipeline._ideals_and_volumes(values, indices, lam, theta, mode,
-                                                     gio.TraceWriter(None, None))
+                                                     gio.TraceWriter(None, None),
+                                                     index_extrema(values))
     families = [incidence.incidence_degrees(local_volume(zeroing_image(c, mode)), vol)
                 for c in (c_pos, c_neg)]
     return c_pos, c_neg, vol, families
