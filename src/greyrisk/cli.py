@@ -42,10 +42,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     assess = sub.add_parser("assess", help="run an assessment on a dataset")
-    assess.add_argument("--input", required=True, help="dataset file or csv-bundle directory")
+    assess.add_argument("--input", required=True, help="dataset file, or csv-bundle or npy-bundle directory")
     assess.add_argument(
         "--input-format", choices=gio.INPUT_FORMATS, default=None,
-        help="dataset format (default: csv-bundle for directories, json otherwise)",
+        help="dataset format (default: npy-bundle for directories holding values.npy, "
+             "csv-bundle for other directories, json otherwise)",
     )
     assess.add_argument("--format", choices=gio.REPORT_FORMATS, default=RunConfig.output_format,
                         help="report format (default: %(default)s)")

@@ -44,10 +44,9 @@ class ZeroingMode(str, Enum):
     NONE = "none"
 
 
-def _blocks(n: int, cells: int):
-    """Slices of consecutive areas, each of at most BLOCK_CELLS cells and one area at least."""
-    step = max(1, BLOCK_CELLS // max(1, cells))
-    return (slice(k, k + step) for k in range(0, n, step))
+def _block_step(cells: int) -> int:
+    """Areas per block of areas of ``cells`` cells: BLOCK_CELLS cells at most, one area at least."""
+    return max(1, BLOCK_CELLS // max(1, cells))
 
 
 def zeroing_image(
@@ -73,18 +72,29 @@ def local_volume(ctilde: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
     An (..., m, T) input gives (..., m-1, T-1) volumes. Cell (i, j)
     integrates the surface spanned by the 2x2 window at (i, j), triangulated
     along the window's anti-diagonal. The result goes to ``out`` when given,
-    else to a new array.
+    else to a new array; the input is left as it was.
     """
-    z = np.asarray(ctilde, dtype=float)
+    z = np.array(ctilde, dtype=float, order="C")  # a copy, which the volumes are made over
     if z.ndim < 2 or z.shape[-2] < 2 or z.shape[-1] < 2:
         raise ValueError(f"local volume needs at least a 2x2 matrix, got shape {z.shape}")
+    return _volumes_over(z, np.empty(z.shape[:-2] + (z.shape[-2] - 1, z.shape[-1] - 1))
+                         if out is None else out)
+
+
+def _volumes_over(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Local volumes of a C-contiguous (..., m, T) ``z`` into ``out``, made over ``z``. In the
+    flat f of ``z``, window p has its corners at f[p], f[p+T+1], f[p+T] and f[p+1], so each
+    term is one contiguous slice; the windows that straddle two rows are left out of ``out``."""
+    f, T = z.reshape(-1), z.shape[-1]
+    L = max(0, f.size - T - 1)
     # (z00 + z11) / 6 + (z10 + z01) / 3
-    vol = np.add(z[..., :-1, :-1], z[..., 1:, 1:], out=out)
-    vol /= 6.0
-    anti = z[..., 1:, :-1] + z[..., :-1, 1:]
+    anti = np.add(f[T:T + L], f[1:1 + L])
     anti /= 3.0
+    vol = np.add(f[:L], f[T + 1:], out=f[:L])  # f[p] is read before it is written: no copy
+    vol /= 6.0
     vol += anti
-    return vol
+    np.copyto(out, z[..., :-1, :-1])
+    return out
 
 
 def grey_coefficients(
@@ -108,9 +118,10 @@ def grey_coefficients(
 
 def _volume_diffs(reference_volume: np.ndarray, volumes: np.ndarray):
     """D = |V - V0| one block of areas at a time: yields (block, D of the block's areas)."""
-    for block in _blocks(len(volumes), reference_volume.size):
-        diffs = volumes[block] - reference_volume
-        yield block, np.abs(diffs, out=diffs)
+    step = _block_step(reference_volume.size)
+    for k in range(0, len(volumes), step):
+        diffs = volumes[k:k + step] - reference_volume
+        yield slice(k, k + step), np.abs(diffs, out=diffs)
 
 
 def incidence_degrees(

@@ -54,10 +54,11 @@ class Standardization(NamedTuple):
     A block is standardized as b = (a - sub) / div against (m, T) operands, with sub the
     minimum or M(t) and div the span or max_dev of each benefit, cost and intermediate
     row; interval and degenerate rows take sub 0 and div 1 and are overwritten. The
-    (m, 1) masks select the rows made |b| (intermediate), the rows made 1 - b (cost and
-    intermediate) and the degenerate rows, which take their constant from ``fill``; a
-    mask that would select no row is None. ``interval`` is None or the interval rows'
-    (k,) positions and (k, 1) columns of their low and high bounds and denominators.
+    (m, T) masks select the rows made |b| (intermediate), the rows made 1 - b (cost and
+    intermediate) and the degenerate rows, which take their constant from ``fill``; being
+    full width, each masked pass runs one m*T-long inner loop per area. A mask that would
+    select no row is None. ``interval`` is None or the interval rows' (k,) positions and
+    (k, 1) columns of their low and high bounds and denominators.
     """
 
     sub: np.ndarray
@@ -89,8 +90,8 @@ def standardization(values: np.ndarray, indices: Sequence[IndexDefinition],
     lows, highs = extrema
     spans = highs - lows
     sub, div = np.zeros((m, T)), np.ones((m, T))
-    absolute, complement = np.zeros((m, 1), bool), np.zeros((m, 1), bool)
-    fill = np.full((m, 1), np.nan)
+    absolute, complement = np.zeros((m, T), bool), np.zeros((m, T), bool)
+    fill = np.full((m, T), np.nan)
     interval = []  # (row, low, high, den) of each interval row with den > 0
     for j, d in enumerate(indices):
         kind = d.orientation.kind

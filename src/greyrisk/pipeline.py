@@ -11,6 +11,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 from importlib import resources
 
 import numpy as np
@@ -19,7 +20,8 @@ from . import io as gio
 from ._meta import VERSION
 from .incidence import (
     ZeroingMode,
-    _blocks,
+    _block_step,
+    _volumes_over,
     area_volume_diffs,
     grey_coefficients,
     incidence_degrees,
@@ -27,7 +29,7 @@ from .incidence import (
     zeroing_image,
 )
 from .model import AssessmentInput
-from .normalize import standardization, standardize
+from .normalize import Standardization, standardization, standardize
 from .ranking import (
     DegenerateAssessmentError,
     RiskLevel,
@@ -35,7 +37,7 @@ from .ranking import (
     rank_areas,
     superiority_degree,
 )
-from .weighting import apply_weights, negative_ideal, positive_ideal
+from .weighting import _weigh, _weight_grids
 
 MAX_REPORT_DECIMALS = 12  # the text report prints 0 to this many decimals
 # an input of more score cells than this is hashed on a worker thread while the run
@@ -162,14 +164,14 @@ def run_assessment(inp: AssessmentInput, config: RunConfig | None = None) -> Ass
     runs first. The report does not depend on where the hash ran.
 
     Memory: beside the input the run holds the (n, m-1, T-1) local volumes and one
-    buffer of a block of areas. The standardization's operands are taken from the
-    whole input; each block is then standardized and weighted in the buffer, folded
-    into both ideals, re-based in place, and its local volumes written into their
-    array. Incidence takes two passes over blocks of those volumes, so no array of
-    volume differences is held whole, and the volumes are freed before the ranking.
-    The peak beyond the input is 1.22x the input at n=2000, m=15, T=6, 1.08x at
-    n=500, m=50, T=24 and 0.84x at n=20 000, m=15, T=6 (tracemalloc; README,
-    "Memory").
+    buffer of a block of areas. The run's plan is taken from the whole input; each
+    block is then standardized and weighted in the buffer, folded into both ideals,
+    re-based in place, and its local volumes written into their array from flat
+    shifted slices of the block, with one flat temporary. Incidence takes two passes
+    over blocks of those volumes, so no array of volume differences is held whole, and
+    the volumes are freed before the ranking. The peak beyond the input is 1.22x the
+    input at n=2000, m=15, T=6, 1.07x at n=500, m=50, T=24 and 0.84x at n=20 000,
+    m=15, T=6 (tracemalloc; README, "Memory").
     """
     config = config or RunConfig()
     t0 = time.perf_counter()
@@ -247,35 +249,61 @@ def _ranked(inp: AssessmentInput, config: RunConfig, trace: gio.TraceWriter) -> 
         s[order], rank[order], classify(s[order]), tied[order], echo)
 
 
+class _RunPlan(NamedTuple):
+    """What each block of one run's areas is made with, taken once per run."""
+
+    operands: Standardization
+    lam: np.ndarray  # both weights as (m, T) _weight_grids
+    theta: np.ndarray
+    mode: ZeroingMode
+    step: int  # areas per block, by incidence.BLOCK_CELLS as the run starts
+
+
+def _run_plan(values, indices, lam, theta, mode: ZeroingMode, extrema: tuple) -> _RunPlan:
+    """The plan of a run on raw (n, m, T) ``values`` with their index ``extrema``."""
+    return _RunPlan(standardization(values, indices, extrema), *_weight_grids(lam, theta),
+                    mode, _block_step(values.shape[1] * values.shape[2]))
+
+
+def _block_pass(plan: _RunPlan, a: np.ndarray, buffer: np.ndarray, out: np.ndarray,
+                record=lambda stage, x: None) -> tuple[np.ndarray, np.ndarray]:
+    """Standardize and weight the raw (k, m, T) block ``a`` in ``buffer``, a C-contiguous
+    array of its shape, re-base it and write its (k, m-1, T-1) local volumes to ``out``;
+    return the weighted block's max and min over its areas. ``record(stage, x)`` sees
+    the standardized and then the weighted block."""
+    x = standardize(a, plan.operands, out=buffer)
+    record("standardized", x)
+    _weigh(x, plan.lam, plan.theta, out=x)
+    record("weighted", x)
+    extrema = np.maximum.reduce(x, axis=0), np.minimum.reduce(x, axis=0)
+    _volumes_over(zeroing_image(x, plan.mode, out=x), out)
+    return extrema
+
+
 def _ideals_and_volumes(values: np.ndarray, indices, lam: np.ndarray, theta: np.ndarray,
                         mode: ZeroingMode, trace: gio.TraceWriter, extrema: tuple):
     """Both ideal matrices and every area's (m-1, T-1) local volumes, in one pass over blocks.
 
-    The standardization's operands are taken from the whole input and its index
-    ``extrema`` first. Each block of areas is then standardized and weighted in one
-    buffer, folded into the running ideals, re-based in place, and its volumes written
-    into one (n, m-1, T-1) array.
+    The run's plan is taken from the whole input and its index ``extrema`` first. Each
+    block of areas then goes through ``_block_pass`` in one buffer, and its maxima and
+    minima are folded into the running ideals in block order.
     Every cell takes the operations it would take in the whole array, and maxima and
     minima are exact, so no result depends on where the blocks end.
     """
     n, m, T = values.shape
-    operands = standardization(values, indices, extrema)
+    plan = _run_plan(values, indices, lam, theta, mode, extrema)
     vol = np.empty((n, m - 1, T - 1))
-    c_pos = c_neg = buffer = None
-    for block in _blocks(n, m * T):
-        a = values[block]
-        if buffer is None:  # the first block is the largest
-            buffer = np.empty(a.shape)
-        x = standardize(a, operands, out=buffer[: len(a)])
-        trace.per_area("standardized", x, block.start)
-        apply_weights(x, lam, theta, out=x)
-        trace.per_area("weighted", x, block.start)
+    buffer = np.empty((min(plan.step, n), m, T))
+    c_pos = c_neg = None
+    for k in range(0, n, plan.step):
+        a = values[k:k + plan.step]
+        hi, lo = _block_pass(plan, a, buffer[: len(a)], vol[k:k + plan.step],
+                             lambda stage, x: trace.per_area(stage, x, k))
         if c_pos is None:
-            c_pos, c_neg = positive_ideal(x), negative_ideal(x)
+            c_pos, c_neg = hi, lo
         else:
-            np.maximum(c_pos, positive_ideal(x), out=c_pos)
-            np.minimum(c_neg, negative_ideal(x), out=c_neg)
-        local_volume(zeroing_image(x, mode, out=x), out=vol[block])
+            np.maximum(c_pos, hi, out=c_pos)
+            np.minimum(c_neg, lo, out=c_neg)
     return c_pos, c_neg, vol
 
 

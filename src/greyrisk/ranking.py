@@ -90,7 +90,10 @@ def rank_areas(s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     s = np.asarray(s, dtype=float)
     order = np.argsort(-s, kind="stable")
-    ascending = s[order[::-1]]
-    above = np.searchsorted(ascending, s, side="right")
-    below = np.searchsorted(ascending, s, side="left")
-    return order, s.size - above + 1, above - below > 1
+    sd, pos = s[order], np.arange(s.size)
+    bounds = np.ones(s.size + 1, bool)  # bounds[k]: a tie group starts at rank position k
+    np.not_equal(sd[1:], sd[:-1], out=bounds[1:-1])
+    rank, tied = np.empty_like(pos), np.empty(s.size, bool)
+    rank[order] = np.maximum.accumulate(np.where(bounds[:-1], pos, 0)) + 1
+    tied[order] = ~(bounds[:-1] & bounds[1:])  # an area alone in its group starts and ends it
+    return order, rank, tied

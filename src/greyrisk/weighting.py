@@ -27,10 +27,19 @@ def apply_weights(
             f"dimension mismatch: scores {b.shape} vs {lam.size} index weights "
             f"and {theta.size} time weights"
         )
-    # both weights as (m, T) arrays, so that numpy runs one m*T-long inner loop per matrix
-    m, T = b.shape[-2:]
-    c = np.multiply(lam.repeat(T).reshape(m, T), b, out=out)
-    return np.multiply(c, theta[None, :].repeat(m, axis=0), out=c)
+    return _weigh(b, *_weight_grids(lam, theta), out=out)
+
+
+def _weight_grids(lam: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both weights as (m, T) arrays, so that numpy runs one m*T-long inner loop per matrix."""
+    m, T = lam.size, theta.size
+    return lam.repeat(T).reshape(m, T), theta[None, :].repeat(m, axis=0)
+
+
+def _weigh(b: np.ndarray, lam: np.ndarray, theta: np.ndarray, out: np.ndarray | None = None):
+    """C = lambda * B, then times theta, with both weights' (m, T) ``_weight_grids``."""
+    c = np.multiply(lam, b, out=out)
+    return np.multiply(c, theta, out=c)
 
 
 def positive_ideal(c: np.ndarray) -> np.ndarray:

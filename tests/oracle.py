@@ -262,8 +262,9 @@ def rebased_volumes(c: np.ndarray, mode: ZeroingMode) -> np.ndarray:
 # --- the run's stages on one whole working array ----------------------------
 # The run once standardized, weighted and re-based one (n, m, T) working array and
 # wrote the local volumes over its front; it now makes each block of areas through
-# every stage in turn. This is that whole-array sequence, and the blocked run must
-# give its bits.
+# every stage in turn. This is that whole-array sequence, with the local volumes taken
+# from strided views as the library once took them, and the blocked run must give its
+# bits.
 
 def _standardize_interval(a, lo, hi, orientation, out) -> None:
     """b = 1 - max(low - a, a - high, 0) / den into ``out``, or 1.0 when den <= 0."""
@@ -316,14 +317,28 @@ def standardize_whole(values: np.ndarray, indices: Sequence[IndexDefinition]) ->
     return x
 
 
+def strided_local_volume(z: np.ndarray) -> np.ndarray:
+    """Local volumes of (..., m, T) matrices from four strided views of them, as the
+    library made them before it took each term as one slice of the flat array."""
+    z = np.asarray(z, dtype=float)
+    # (z00 + z11) / 6 + (z10 + z01) / 3
+    vol = z[..., :-1, :-1] + z[..., 1:, 1:]
+    vol /= 6.0
+    anti = z[..., 1:, :-1] + z[..., :-1, 1:]
+    anti /= 3.0
+    vol += anti
+    return vol
+
+
 def local_volumes_in_place(z: np.ndarray, mode: ZeroingMode) -> np.ndarray:
     """Local volumes of (n, m, T) matrices re-based by ``mode``, written over ``z``'s buffer."""
     n, m, T = z.shape
     z = np.ascontiguousarray(z)
     vol = z.reshape(-1)[: n * (m - 1) * (T - 1)].reshape(n, m - 1, T - 1)
-    for block in incidence._blocks(n, m * T):
-        zb = z[block]
-        vol[block] = incidence.local_volume(incidence.zeroing_image(zb, mode, out=zb))
+    step = incidence._block_step(m * T)
+    for k in range(0, n, step):
+        zb = z[k:k + step]
+        vol[k:k + step] = strided_local_volume(incidence.zeroing_image(zb, mode, out=zb))
     return vol
 
 
@@ -336,5 +351,5 @@ def whole_array_run(values, indices, lam, theta, mode: ZeroingMode):
     c_pos, c_neg = np.max(x, axis=0), np.min(x, axis=0)
     vol = local_volumes_in_place(x, mode)
     families = [incidence.incidence_degrees(
-        incidence.local_volume(incidence.zeroing_image(c, mode)), vol) for c in (c_pos, c_neg)]
+        strided_local_volume(incidence.zeroing_image(c, mode)), vol) for c in (c_pos, c_neg)]
     return c_pos, c_neg, vol, families

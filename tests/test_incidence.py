@@ -10,6 +10,8 @@ from hypothesis.extra.numpy import arrays
 from greyrisk import ZeroingMode, incidence, incidence_degrees, local_volume, zeroing_image
 from greyrisk.incidence import area_volume_diffs, grey_coefficients
 
+import oracle
+
 Family = collections.namedtuple("Family", "d_max d_min degrees volume_diffs")
 
 
@@ -295,6 +297,49 @@ def test_blockwise_degrees_match_one_shot_mean(vols, block_cells, kind):
         diffs = volume_diffs(ref, vols)
     assert degrees.tobytes() == one_shot_degrees(ref, vols).tobytes()
     assert diffs.tobytes() == np.abs(vols - ref).tobytes()
+
+
+EDGE_CELLS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e308, -1e308,
+              1.0, -2.5]
+
+
+@st.composite
+def volume_stacks(draw):
+    """A stack of matrices re-based by one of the three zeroing images, and a copy of it
+    laid out C-ordered, Fortran-ordered, as a strided slice or as a transposed view."""
+    lead = draw(st.sampled_from([(), (1,), (3,), (2, 3)]))
+    m, T = draw(st.sampled_from([(2, 2), (2, 5), (4, 2), (3, 4), (5, 3)]))
+    shape = lead + (m, T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = zeroing_image(draw(arrays(np.float64, shape, elements=st.sampled_from(EDGE_CELLS)
+                                      | st.floats(-10.0, 10.0))), draw(mode_strategy))
+    layout = draw(st.sampled_from(["C", "F", "strided", "transposed"]))
+    if layout == "F":
+        view = np.asfortranarray(z)
+    elif layout == "strided":
+        view = np.repeat(z, 2, axis=-1)[..., ::2]
+    elif layout == "transposed":
+        view = np.ascontiguousarray(np.swapaxes(z, -1, -2)).swapaxes(-1, -2)
+    else:
+        view = z.copy()
+    return z, view
+
+
+@given(volume_stacks(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_local_volume_gives_the_bits_of_the_strided_form(stack, with_out):
+    """The flat-slice volumes equal those of four strided views (``oracle``), bit for bit
+    with signed zeros, subnormals, overflow and NaN, whatever the input's layout, and
+    leave the input as it was."""
+    z, view = stack
+    before = view.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = oracle.strided_local_volume(z)
+        out = np.full(expected.shape, np.nan) if with_out else None
+        got = local_volume(view, out=out)
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+    assert out is None or got is out
+    assert view.tobytes() == before.tobytes()
 
 
 def test_blockwise_degrees_with_a_partial_last_block():

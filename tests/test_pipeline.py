@@ -353,7 +353,7 @@ def _run_peak_in_inputs(n, m, T, config, kinds=KINDS + (Orientation.interval(0.2
 @pytest.mark.parametrize("n, m, T", [(2000, 15, 6), (500, 50, 24)])
 def test_untraced_run_peak_is_the_volumes_and_one_block(n, m, T):
     """Beside the input a run holds the (n, m-1, T-1) local volumes and temporaries of
-    one block of areas (1.22 and 1.08 inputs); the bound is 1.35 inputs."""
+    one block of areas (1.22 and 1.07 inputs); the bound is 1.35 inputs."""
     ratio = _run_peak_in_inputs(n, m, T, RunConfig())
     assert ratio <= 1.35, ratio
 
@@ -371,9 +371,32 @@ def test_untraced_run_peak_at_20000_areas_is_under_one_input(kinds):
 @pytest.mark.parametrize("n, m, T", [(2000, 15, 6), (500, 50, 24)])
 def test_traced_run_peak_keeps_no_stage(n, m, T, tmp_path):
     """A traced run writes each stage from a block or one block at a time, so it keeps
-    no stage (1.32 and 1.09 inputs); the bound is 1.45 inputs."""
+    no stage (1.32 and 1.08 inputs); the bound is 1.45 inputs."""
     ratio = _run_peak_in_inputs(n, m, T, RunConfig(trace_dir=tmp_path))
     assert ratio <= 1.45, ratio
+
+
+@pytest.mark.parametrize("mode", list(ZeroingMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("k, m, T", [(364, 15, 6), (27, 50, 24)])
+def test_block_pass_allocates_one_flat_temporary(k, m, T, mode):
+    """A block pass of all four orientations holds, beyond the block's max and min, only the
+    flat (k*m*T - T - 1) temporary of its anti-diagonal terms: no (k, m-1, T-1) temporary
+    and no buffer for a strided operand (numpy's are 8192 cells)."""
+    kinds = KINDS + (Orientation.interval(0.25, 0.75),)
+    inp = make_input(np.random.default_rng(2).random((k, m, T)),
+                     orientations=[kinds[j % len(kinds)] for j in range(m)])
+    plan = pipeline._run_plan(inp.values, inp.indices, np.full(m, 1 / m), np.full(T, 1 / T),
+                              mode, index_extrema(inp.values))
+    buffer, out = np.empty((k, m, T)), np.empty((k, m - 1, T - 1))
+    pipeline._block_pass(plan, inp.values, buffer, out)
+    tracemalloc.start()
+    try:
+        pipeline._block_pass(plan, inp.values, buffer, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    anti, extrema = (k * m * T - T - 1) * 8, 2 * m * T * 8
+    assert peak <= anti + extrema + 2048, (peak, anti, extrema)
 
 
 # --- the stages against their earlier whole-array forms ---------------------

@@ -169,3 +169,12 @@ def test_distinct_scores_rank_as_permutation(scores):
 def test_matches_pairwise_oracle(scores):
     expected = oracle.rank_areas([(str(k), s) for k, s in enumerate(scores)])
     assert ranked(scores) == [(int(name), rank, tied) for name, _, rank, tied in expected]
+
+
+@given(st.lists(st.sampled_from([0.0, -0.0, 5e-324, 0.25, 0.5, 1.0]), max_size=40))
+def test_tie_heavy_ranks_match_pairwise_oracle_with_their_dtypes(scores):
+    """Ranks and tie flags come from the tie groups of the sorted degrees; -0.0 ties 0.0."""
+    order, rank, tied = rank_areas(scores)
+    assert [a.dtype for a in (order, rank, tied)] == [np.dtype(np.intp)] * 2 + [np.dtype(bool)]
+    expected = oracle.rank_areas([(str(k), s) for k, s in enumerate(scores)])
+    assert ranked(scores) == [(int(name), rank, tied) for name, _, rank, tied in expected]
