@@ -116,14 +116,6 @@ def grey_coefficients(
     return np.divide(g, d_max - d_min, out=g)
 
 
-def _volume_diffs(reference_volume: np.ndarray, volumes: np.ndarray):
-    """D = |V - V0| one block of areas at a time: yields (block, D of the block's areas)."""
-    step = _block_step(reference_volume.size)
-    for k in range(0, len(volumes), step):
-        diffs = volumes[k:k + step] - reference_volume
-        yield slice(k, k + step), np.abs(diffs, out=diffs)
-
-
 def incidence_degrees(
     reference_volume: np.ndarray, volumes: np.ndarray
 ) -> tuple[float, float, np.ndarray]:
@@ -145,16 +137,35 @@ def incidence_degrees(
             f"shape mismatch: volumes {volumes.shape} vs reference {reference_volume.shape}")
     if len(volumes) == 0:
         raise ValueError("at least one area required")
-    d_max, d_min = -math.inf, math.inf
-    for _, diffs in _volume_diffs(reference_volume, volumes):
-        d_max, d_min = max(d_max, float(diffs.max())), min(d_min, float(diffs.min()))
-    degrees = np.empty(len(volumes))
-    for block, diffs in _volume_diffs(reference_volume, volumes):
-        degrees[block] = grey_coefficients(diffs, d_max, d_min, out=diffs).mean(axis=(-2, -1))
+    (d_max,), (d_min,), (degrees,) = _degrees(reference_volume[None], volumes)
     return d_max, d_min, degrees
 
 
-def area_volume_diffs(reference_volume: np.ndarray, volumes: np.ndarray):
-    """Each area's D in area order, made one block at a time as ``incidence_degrees`` makes it."""
-    for _, diffs in _volume_diffs(reference_volume, volumes):
-        yield from diffs
+def _degrees(references: np.ndarray, volumes: np.ndarray,
+             record=lambda symbol, family, first, x: None) -> tuple[list, list, np.ndarray]:
+    """(d_max list, d_min list, (families, n) degrees) of the (n, m-1, T-1) ``volumes``
+    toward each (m-1, T-1) reference volume stacked in ``references``. Two passes over
+    blocks of areas make each block's D = |V - V0| toward each reference in one buffer:
+    the first folds d_max and d_min; the second calls ``record("D", family, first, D)``,
+    turns D into G in place, calls ``record("G", family, first, G)`` and averages G."""
+    n, families = len(volumes), len(references)
+    step = _block_step(references[0].size)
+    buffer = np.empty((min(step, n),) + references.shape[1:])
+
+    def blocks():
+        for k in range(0, n, step):
+            v = volumes[k:k + step]
+            for i, ref in enumerate(references):
+                diffs = np.subtract(v, ref, out=buffer[:len(v)])
+                yield i, k, np.abs(diffs, out=diffs)
+
+    d_max, d_min = [-math.inf] * families, [math.inf] * families
+    for i, _, diffs in blocks():
+        d_max[i], d_min[i] = max(d_max[i], float(diffs.max())), min(d_min[i], float(diffs.min()))
+    degrees = np.empty((families, n))
+    for i, k, diffs in blocks():
+        record("D", i, k, diffs)
+        g = grey_coefficients(diffs, d_max[i], d_min[i], out=diffs)
+        record("G", i, k, g)
+        g.mean(axis=(-2, -1), out=degrees[i, k:k + len(g)])
+    return d_max, d_min, degrees

@@ -508,10 +508,9 @@ _JSON_AREA = """    {{
       "gamma_neg": {!r},
       "superiority": {!r},
       "rank": {},
-      "level": {},
+      "level": "{}",
       "tied": {}
     }}"""
-_JSON_LEVELS = {level.value: encode_basestring_ascii(level.label) for level in RiskLevel}
 
 
 def render_json(report: "AssessmentReport") -> str:
@@ -519,15 +518,13 @@ def render_json(report: "AssessmentReport") -> str:
 
     Names are escaped by the function json.dumps uses, and γ± and s are written
     by ``float.__repr__``, as json.dumps writes every finite float; each is
-    finite, as ``superiority_degree`` refuses γ outside [0, 1].
+    finite, as ``superiority_degree`` refuses γ outside [0, 1]. Level labels are ASCII.
     """
     r = report.result
     areas = ",\n".join([
-        _JSON_AREA.format(encode_basestring_ascii(name), gp, gn, s, rank, _JSON_LEVELS[level],
+        _JSON_AREA.format(encode_basestring_ascii(name), gp, gn, s, rank, label,
                           "true" if tied else "false")
-        for name, gp, gn, s, rank, level, tied in zip(
-            r.names, r.gamma_pos.tolist(), r.gamma_neg.tolist(), r.superiority.tolist(),
-            r.rank.tolist(), r.level.tolist(), r.tied.tolist())
+        for name, gp, gn, s, rank, label, tied in _rows(report)
     ])
     rest = {"config": r.config_echo, "fingerprint": report.fingerprint,
             "version": report.version, "duration_seconds": report.duration_seconds}

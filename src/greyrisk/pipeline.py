@@ -21,10 +21,8 @@ from ._meta import VERSION
 from .incidence import (
     ZeroingMode,
     _block_step,
+    _degrees,
     _volumes_over,
-    area_volume_diffs,
-    grey_coefficients,
-    incidence_degrees,
     local_volume,
     zeroing_image,
 )
@@ -167,11 +165,12 @@ def run_assessment(inp: AssessmentInput, config: RunConfig | None = None) -> Ass
     buffer of a block of areas. The run's plan is taken from the whole input; each
     block is then standardized and weighted in the buffer, folded into both ideals,
     re-based in place, and its local volumes written into their array from flat
-    shifted slices of the block, with one flat temporary. Incidence takes two passes
-    over blocks of those volumes, so no array of volume differences is held whole, and
-    the volumes are freed before the ranking. The peak beyond the input is 1.22x the
-    input at n=2000, m=15, T=6, 1.07x at n=500, m=50, T=24 and 0.84x at n=20 000,
-    m=15, T=6 (tracemalloc; README, "Memory").
+    shifted slices of the block, with one flat temporary. Incidence toward both ideals
+    takes one pair of passes over blocks of those volumes, so no array of volume
+    differences is held whole, and the traced differences and coefficients are written
+    as the second pass makes them; the volumes are freed before the ranking. The peak
+    beyond the input is 1.16x the input at n=2000, m=15, T=6, 1.08x at n=500, m=50,
+    T=24 and 0.82x at n=20 000, m=15, T=6 (tracemalloc; README, "Memory").
     """
     config = config or RunConfig()
     t0 = time.perf_counter()
@@ -204,22 +203,13 @@ def _ranked(inp: AssessmentInput, config: RunConfig, trace: gio.TraceWriter) -> 
     mode = config.zeroing_mode
     c_pos, c_neg, vol = _ideals_and_volumes(inp.values, inp.indices, lam, theta, mode, trace,
                                             inp._extrema)
-    trace.shared("positive_ideal", c_pos)
-    trace.shared("negative_ideal", c_neg)
-
-    vol_pos = local_volume(zeroing_image(c_pos, mode))
-    vol_neg = local_volume(zeroing_image(c_neg, mode))
-    trace.shared("positive_ideal_volume", vol_pos)
-    trace.shared("negative_ideal_volume", vol_neg)
-    degrees = []
-    for sign, ref_vol in (("pos", vol_pos), ("neg", vol_neg)):
-        d_max, d_min, gamma = incidence_degrees(ref_vol, vol)
-        # the trace makes each area's D again, one block at a time
-        trace.per_area(f"volume_diff_{sign}", area_volume_diffs(ref_vol, vol))
-        trace.per_area(f"coeff_{sign}", (grey_coefficients(d, d_max, d_min)
-                                         for d in area_volume_diffs(ref_vol, vol)))
-        degrees.append(gamma)
-    gp, gn = degrees
+    refs = np.empty((2,) + vol.shape[1:])  # each ideal's local volumes
+    for ideal, c, ref in zip(("positive", "negative"), (c_pos, c_neg), refs):
+        trace.shared(f"{ideal}_ideal", c)
+        trace.shared(f"{ideal}_ideal_volume", local_volume(zeroing_image(c, mode), out=ref))
+    stages = {"D": ("volume_diff_pos", "volume_diff_neg"), "G": ("coeff_pos", "coeff_neg")}
+    _, _, (gp, gn) = _degrees(refs, vol, lambda symbol, i, k, x:
+                              trace.per_area(stages[symbol][i], x, k))
     del vol  # the volumes are not needed for the ranking
 
     try:

@@ -350,6 +350,14 @@ def whole_array_run(values, indices, lam, theta, mode: ZeroingMode):
     apply_weights(x, lam, theta, out=x)
     c_pos, c_neg = np.max(x, axis=0), np.min(x, axis=0)
     vol = local_volumes_in_place(x, mode)
-    families = [incidence.incidence_degrees(
-        strided_local_volume(incidence.zeroing_image(c, mode)), vol) for c in (c_pos, c_neg)]
+    families = [one_shot_degrees(strided_local_volume(incidence.zeroing_image(c, mode)), vol)
+                for c in (c_pos, c_neg)]
     return c_pos, c_neg, vol, families
+
+
+def one_shot_degrees(ref: np.ndarray, vols: np.ndarray):
+    """(d_max, d_min, degrees) of ``vols`` against ``ref`` with D held whole: D, then
+    its grey coefficients, then each area's mean."""
+    diffs = np.abs(vols - ref)
+    d_max, d_min = float(diffs.max()), float(diffs.min())
+    return d_max, d_min, incidence.grey_coefficients(diffs, d_max, d_min).mean(axis=(-2, -1))

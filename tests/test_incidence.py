@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from greyrisk import ZeroingMode, incidence, incidence_degrees, local_volume, zeroing_image
-from greyrisk.incidence import area_volume_diffs, grey_coefficients
+from greyrisk.incidence import grey_coefficients
 
 import oracle
 
@@ -16,9 +16,17 @@ Family = collections.namedtuple("Family", "d_max d_min degrees volume_diffs")
 
 
 def volume_diffs(reference_volume, volumes):
-    """The (n, m-1, T-1) array D of every area's absolute local volume differences."""
+    """The (n, m-1, T-1) array D of every area's absolute local volume differences, as
+    the incidence pass records it block by block."""
     ref, vols = np.asarray(reference_volume, dtype=float), np.asarray(volumes, dtype=float)
-    return np.array(list(area_volume_diffs(ref, vols)))
+    diffs = np.empty(vols.shape)
+
+    def record(symbol, family, first, x):
+        if symbol == "D":
+            diffs[first:first + len(x)] = x
+
+    incidence._degrees(ref[None], vols, record)
+    return diffs
 
 
 def family(reference, factors, mode=ZeroingMode.FIRST_COLUMN):
@@ -240,11 +248,6 @@ def one_shot_volume(z):
             + (z[..., 1:, :-1] + z[..., :-1, 1:]) / 3.0)
 
 
-def one_shot_degrees(ref, vols):
-    diffs = np.abs(vols - ref)
-    return grey_coefficients(diffs, diffs.max(), diffs.min()).mean(axis=(-2, -1))
-
-
 stacked_matrices = st.tuples(st.integers(1, 12), st.integers(2, 5), st.integers(2, 5)).flatmap(
     lambda shape: arrays(np.float64, shape, elements=st.floats(-50, 50)))
 
@@ -283,19 +286,31 @@ def test_blockwise_volume_matches_one_shot(z, block_cells):
 
 
 @given(stacked_matrices, st.integers(1, 40),
-       st.sampled_from(["spread", "equal", "zero"]))
+       st.sampled_from(["spread", "equal", "zero"]), st.booleans())
 @settings(max_examples=80, deadline=None)
-def test_blockwise_degrees_match_one_shot_mean(vols, block_cells, kind):
+def test_blockwise_degrees_match_one_shot_mean(vols, block_cells, kind, swap):
+    """Each family of one pass toward two references, first or second in the stack, and
+    of ``incidence_degrees`` toward one, gives the bits of the one-shot form (``oracle``),
+    sign of zero included. The second reference is spread apart from the first, so a
+    degenerate family ("equal", "zero") sits beside one that is not."""
     ref = vols[0] / 3.0
     if kind == "equal":  # every difference is 2.5: d_max == d_min != 0
         ref = np.zeros_like(ref)
         vols = np.where(vols < 0.0, -2.5, 2.5)
     elif kind == "zero":  # every area matches the reference: d_max == d_min == 0
         vols = np.broadcast_to(ref, vols.shape).copy()
+    refs = np.stack([ref, vols[-1] / 3.0 - np.arange(ref.size).reshape(ref.shape)])
+    refs = refs[::-1] if swap else refs
     with mock.patch.object(incidence, "BLOCK_CELLS", block_cells):
-        degrees = incidence_degrees(ref, vols)[2]
+        d_max, d_min, degrees = incidence._degrees(refs, vols)
+        alone = incidence_degrees(ref, vols)[2]
         diffs = volume_diffs(ref, vols)
-    assert degrees.tobytes() == one_shot_degrees(ref, vols).tobytes()
+    for family, r in enumerate(refs):
+        expected = oracle.one_shot_degrees(r, vols)
+        got = d_max[family], d_min[family], degrees[family]
+        assert got[:2] == expected[:2] and got[2].tobytes() == expected[2].tobytes()
+        assert np.signbit(got[:2]).tolist() == np.signbit(expected[:2]).tolist()
+    assert alone.tobytes() == oracle.one_shot_degrees(ref, vols)[2].tobytes()
     assert diffs.tobytes() == np.abs(vols - ref).tobytes()
 
 
@@ -347,7 +362,7 @@ def test_blockwise_degrees_with_a_partial_last_block():
     step = incidence.BLOCK_CELLS // (6 * 8)
     vols = rng.normal(size=(2 * step + 3, 6, 8))
     assert incidence_degrees(vols[1], vols)[2].tobytes() == \
-        one_shot_degrees(vols[1], vols).tobytes()
+        oracle.one_shot_degrees(vols[1], vols)[2].tobytes()
     assert local_volume(vols).tobytes() == one_shot_volume(vols).tobytes()
     assert local_volume(vols[:0]).shape == (0, 5, 7)
 

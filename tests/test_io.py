@@ -40,6 +40,7 @@ from greyrisk.io import (
 )
 from greyrisk.model import OrientationKind
 from greyrisk.pipeline import load_bundled_case
+from greyrisk.ranking import RiskLevel
 
 from conftest import (
     input_from_dict,
@@ -805,6 +806,11 @@ class TestEmitReport:
         report = dataclasses.replace(run_assessment(inp), duration_seconds=duration)
         assert report.result.tied.any() == tie
         assert render_json(report) == json.dumps(report_to_dict(report), indent=2) + "\n"
+
+    def test_every_level_label_is_its_own_json_string_body(self):
+        """render_json writes each level label between quotes as it is, as json.dumps would."""
+        for level in RiskLevel:
+            assert json.dumps(level.label) == f'"{level.label}"'
 
     def test_unwritable_destination_raises_oserror(self, bundled_input, tmp_path):
         config = RunConfig()

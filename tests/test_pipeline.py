@@ -353,7 +353,7 @@ def _run_peak_in_inputs(n, m, T, config, kinds=KINDS + (Orientation.interval(0.2
 @pytest.mark.parametrize("n, m, T", [(2000, 15, 6), (500, 50, 24)])
 def test_untraced_run_peak_is_the_volumes_and_one_block(n, m, T):
     """Beside the input a run holds the (n, m-1, T-1) local volumes and temporaries of
-    one block of areas (1.22 and 1.07 inputs); the bound is 1.35 inputs."""
+    one block of areas (1.16 and 1.08 inputs); the bound is 1.35 inputs."""
     ratio = _run_peak_in_inputs(n, m, T, RunConfig())
     assert ratio <= 1.35, ratio
 
@@ -371,7 +371,7 @@ def test_untraced_run_peak_at_20000_areas_is_under_one_input(kinds):
 @pytest.mark.parametrize("n, m, T", [(2000, 15, 6), (500, 50, 24)])
 def test_traced_run_peak_keeps_no_stage(n, m, T, tmp_path):
     """A traced run writes each stage from a block or one block at a time, so it keeps
-    no stage (1.32 and 1.08 inputs); the bound is 1.45 inputs."""
+    no stage (1.26 and 1.08 inputs); the bound is 1.45 inputs."""
     ratio = _run_peak_in_inputs(n, m, T, RunConfig(trace_dir=tmp_path))
     assert ratio <= 1.45, ratio
 
@@ -435,13 +435,13 @@ def stage_inputs(draw):
 
 
 def _blocked_run(values, indices, lam, theta, mode):
-    """The run's (c_pos, c_neg, volumes) and its (d_max, d_min, degrees) toward each ideal."""
+    """The run's (c_pos, c_neg, volumes) and its (d_max, d_min, degrees) toward each ideal,
+    from one incidence pass toward both, as ``pipeline._ranked`` makes them."""
     c_pos, c_neg, vol = pipeline._ideals_and_volumes(values, indices, lam, theta, mode,
                                                      gio.TraceWriter(None, None),
                                                      index_extrema(values))
-    families = [incidence.incidence_degrees(local_volume(zeroing_image(c, mode)), vol)
-                for c in (c_pos, c_neg)]
-    return c_pos, c_neg, vol, families
+    refs = np.stack([local_volume(zeroing_image(c, mode)) for c in (c_pos, c_neg)])
+    return c_pos, c_neg, vol, list(zip(*incidence._degrees(refs, vol)))
 
 
 @given(stage_inputs(), st.sampled_from(list(ZeroingMode)), st.sampled_from([1, 25, None]))
@@ -620,6 +620,28 @@ def test_block_boundaries_change_no_result_or_trace_byte(n, mode, tmp_path):
                 runs.append(_run_and_trace(inp, mode, tmp_path / name / str(cells)))
         assert len(runs[0][1]) == 4 + 6 * n
         assert runs[0] == runs[1] == runs[2] == runs[3], name
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("n", [2, 7])
+def test_a_run_makes_each_blocks_grey_coefficients_once(n, traced, tmp_path):
+    """The trace's coefficient files are written as the incidence pass makes them: a
+    run, traced or not, makes the coefficients once per block of areas and ideal. 13
+    cells hold two areas' 3 x 2 volume differences, so 7 areas make four blocks."""
+    inp = make_input(np.random.default_rng(n).random((n, 4, 3)))
+    code, calls = incidence.grey_coefficients.__code__, []
+
+    def count(frame, event, arg):  # every call, under whatever name it is reached
+        if event == "call" and frame.f_code is code:
+            calls.append(frame)
+
+    with mock.patch.object(incidence, "BLOCK_CELLS", 13):
+        sys.setprofile(count)
+        try:
+            run_assessment(inp, RunConfig(trace_dir=tmp_path if traced else None))
+        finally:
+            sys.setprofile(None)
+    assert len(calls) == 2 * -(-n // 2)
 
 
 def _with_area_copied(inp, source, at_front):
