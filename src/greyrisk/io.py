@@ -7,7 +7,14 @@ json            {"indices": [{"id", "name", "orientation", "weight"}, ...],
                  "areas":   [{"name", "values": [[m rows of T reals]]}, ...]}
                 where orientation is "benefit" | "cost" | "intermediate" |
                 {"interval": [low, high]}. An optional top-level
-                "description" string documents the dataset.
+                "description" string documents the dataset. A file larger
+                than _JSON_WINDOW (64 KiB) is decoded and parsed one window
+                at a time from a read-only map of it, and each window's
+                clean area grids are copied into the one (n, m, T) score
+                array, so its text and parsed document are never held whole.
+                A smaller file, or one that this reader does not take, is
+                parsed as one text, which alone decides what loads and
+                every error message.
 
 csv-bundle      a directory with indices.csv (id,name,orientation,weight,
                 interval_low,interval_high), periods.csv (label,weight), and
@@ -28,6 +35,7 @@ the score array it built to the AssessmentInput, which holds it without a copy.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import functools
 import hashlib
@@ -39,6 +47,7 @@ import os
 import re
 import sys
 import warnings
+from json.decoder import WHITESPACE, scanstring
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -155,14 +164,12 @@ def _stack(m: int, T: int, n: int, areas) -> tuple:
     return names, values
 
 
-def _json_grids(entries: list, m: int, T: int):
-    """The names and (n, m, T) values of the areas, or None.
+def _clean_grids(entries: list):
+    """The names, grids and grid shape of the areas, or None.
 
-    The grids are stacked once when every entry is a plain {"name": str, "values":
-    grid} object whose grid is an m x T float64 array, as ``_grid_hook`` leaves a
-    clean grid. None means some entry is not; then ``_json_areas`` reads the entries
-    again and alone decides whether they are accepted and, if not, locates the
-    error. No value array is made unless every shape holds.
+    None unless every entry is a plain {"name": str, "values": grid} object whose grid
+    is a float64 array, as ``_grid_hook`` leaves a clean grid, and every grid has one
+    shape.
     """
     if not set(map(type, entries)) <= {dict}:
         return None
@@ -171,11 +178,25 @@ def _json_grids(entries: list, m: int, T: int):
         grids = list(map(operator.itemgetter("values"), entries))
     except KeyError:
         return None
-    if not (grids and set(map(type, names)) <= {str} and set(map(type, grids)) <= {np.ndarray}
-            and set(map(operator.attrgetter("shape"), grids)) <= {(m, T)}
+    if not (set(map(type, names)) <= {str} and set(map(type, grids)) <= {np.ndarray}
             and set(map(operator.attrgetter("dtype"), grids)) <= {np.dtype(float)}):
         return None
-    return names, np.concatenate(grids).reshape(len(grids), m, T)
+    shapes = set(map(operator.attrgetter("shape"), grids))
+    return (names, grids, *shapes) if len(shapes) == 1 else None
+
+
+def _json_grids(entries: list, m: int, T: int):
+    """The names and (n, m, T) values of the areas, or None.
+
+    The grids are stacked once when ``_clean_grids`` finds them clean and m x T. None
+    means they are not; then ``_json_areas`` reads the entries again and alone decides
+    whether they are accepted and, if not, locates the error. No value array is made
+    unless every shape holds.
+    """
+    clean = _clean_grids(entries)
+    if clean is None or clean[2] != (m, T):
+        return None
+    return clean[0], np.concatenate(clean[1]).reshape(-1, m, T)
 
 
 def _json_areas(entries: list):
@@ -205,16 +226,21 @@ def _located(field: str, entries: list):
     return ((f"{field}[{k}]", entry) for k, entry in enumerate(entries))
 
 
-def _input_fields(doc: dict) -> tuple:
-    """The fields of the AssessmentInput of a json document, in order; the values are
-    one (n, m, T) array that holds no reference to ``doc``."""
+def _json_header(doc: dict) -> tuple:
+    """The indices, period labels and time weights of a json document, then its areas."""
     if not isinstance(doc, dict):
         raise InputFormatError("top level must be an object")
     index_entries, period_entries, areas = (
         _require(doc, field, "input", list) for field in ("indices", "periods", "areas")
     )
-    indices, labels, time_weights = _typed(_located("indices", index_entries),
-                                           _located("periods", period_entries))
+    return (*_typed(_located("indices", index_entries), _located("periods", period_entries)),
+            areas)
+
+
+def _input_fields(doc: dict) -> tuple:
+    """The fields of the AssessmentInput of a json document, in order; the values are
+    one (n, m, T) array that holds no reference to ``doc``."""
+    indices, labels, time_weights, areas = _json_header(doc)
     m, T = len(indices), len(labels)
     columns = _json_grids(areas, m, T)
     if columns is None:
@@ -313,7 +339,198 @@ def _parse_json(path: Path):
         raise InputFormatError(f"{path}: JSON arrays or objects nested too deeply") from exc
 
 
+# a JSON file larger than this many bytes is decoded and parsed one window at a time
+_JSON_WINDOW = 1 << 16
+
+# a character that is not whitespace, with the whitespace around it
+_TOKEN = re.compile(r"[ \t\n\r]*([^ \t\n\r])[ \t\n\r]*")
+
+
+def _token(text: str, pos: int, chars: str) -> tuple:
+    """The character at ``pos`` after any whitespace, one of ``chars``, and the index
+    after the whitespace after it."""
+    found = _TOKEN.match(text, pos)
+    if found is None or found[1] not in chars:
+        raise ValueError(f"expected one of {chars!r} at {pos}")
+    return found[1], found.end()
+
+
+def _append_grids(values, names: list, entries: list, more: int):
+    """``values``, the grids of ``names`` (None before the first entries), with the
+    clean grids of ``entries`` after them and their names appended to ``names``.
+
+    The array grows to hold ``more`` areas beyond these when it must grow; ValueError
+    unless the grids are clean and of the array's shape.
+    """
+    clean = _clean_grids(entries)
+    if clean is None or values is not None and clean[2] != values.shape[1:]:
+        raise ValueError("an area the streaming reader does not handle")
+    grids, shape = clean[1:]
+    k, n = len(names), len(names) + len(grids)
+    if values is None:
+        values = np.empty((n + more, *shape))
+    elif n > len(values):
+        values.resize((n + more, *shape), refcheck=False)  # no view of it is held
+    np.concatenate(grids, out=values[k:n].reshape(-1, shape[1]))  # a view: the slice is whole rows
+    names += clean[0]
+    return values
+
+
+class _JsonWindows:
+    """The top-level object of a JSON file, parsed from a read-only map of the file.
+
+    The bytes are decoded as UTF-8 one window at a time, straight from the map, and
+    ``text`` holds what was left unparsed before the last window, then that window.
+    Values are parsed by the scanner ``json.loads`` uses, with ``_grid_hook``. A unit
+    (a key and its colon, a value and the separator after it, or the areas that lie
+    wholly in the text, each with its separator) is parsed again over more text until
+    it parses whole: so a number that ends where the text ends is read again with the
+    digits that follow. Grids are checked for bools wherever the text spells ``true``
+    or ``false``; a unit parses only where it lies wholly in the text. A unit that
+    does not parse is retried to the file's end before the reader gives up; only a
+    top level that is not an object is refused at once.
+    """
+
+    def __init__(self, mm: mmap.mmap):
+        self.mm, self.read, self.dropped, self.text = mm, 0, 0, ""
+        self.scanners = [json.JSONDecoder(object_hook=hook).scan_once
+                         for hook in (_grid_hook, functools.partial(_grid_hook, bools=True))]
+        self.extend(0)
+
+    def extend(self, pos: int) -> int:
+        """Drop the text before ``pos`` and decode the next window, or as many more bytes
+        as the text has left if that is more; the new index of ``pos``."""
+        size, stop, end = max(_JSON_WINDOW, len(self.text) - pos), self.read, len(self.mm)
+        window = ""
+        with memoryview(self.mm) as view:
+            while not window:  # a window may end inside a character
+                if stop == end:
+                    raise ValueError("the file ends")
+                stop = min(stop + size, end)
+                window, used = codecs.utf_8_decode(view[self.read:stop], "strict", stop == end)
+        self.read += used
+        self.dropped += pos
+        self.text = self.text[pos:] + window
+        self.scan = self.scanners["true" in self.text or "false" in self.text]
+        return 0
+
+    def unit(self, parse, pos: int, *args):
+        """``parse(text, pos, *args)``, again over more text each time it fails."""
+        while True:
+            try:
+                return parse(self.text, pos, *args)
+            except (ValueError, StopIteration):  # StopIteration: no value at pos
+                pos = self.extend(pos)
+                pos = WHITESPACE.match(self.text, pos).end()
+
+    @staticmethod
+    def _key(text: str, pos: int) -> tuple:
+        if not text.startswith('"', pos):
+            raise ValueError(f"expected a key at {pos}")
+        key, pos = scanstring(text, pos + 1)
+        return key, _token(text, pos, ":")[1]
+
+    def _value(self, text: str, pos: int, separators: str) -> tuple:
+        value, pos = self.scan(text, pos)
+        separator, pos = _token(text, pos, separators)
+        return (value, separator), pos
+
+    def document(self) -> tuple:
+        """The top-level object, its "areas" the area names, and the areas' (n, m, T)
+        values; ValueError for a file this reader does not handle."""
+        doc, values, separator = {}, None, ","
+        first = _TOKEN.match(self.text)
+        if first is not None and first[1] != "{":  # a BOM, say: refused before more is read
+            raise ValueError("the top level is not an object")
+        pos = self.unit(_token, 0, "{")[1]
+        while separator == ",":
+            key, pos = self.unit(self._key, pos)
+            if key in doc:
+                raise ValueError(f"duplicate key {key!r}")
+            if key == "areas":
+                (doc[key], values, separator), pos = self._areas(pos)
+            else:
+                (doc[key], separator), pos = self.unit(self._value, pos, ",}")
+        if values is None:
+            raise ValueError("no areas")
+        while WHITESPACE.match(self.text, pos).end() == len(self.text):
+            if self.read == len(self.mm):
+                return doc, values
+            pos = self.extend(len(self.text))
+        raise ValueError("data after the document")
+
+    def _areas(self, pos: int) -> tuple:
+        """The names and values of the areas array at ``pos``, the separator after it,
+        and the index after that separator."""
+        pos = self.unit(_token, pos, "[")[1]
+        start, names, values, separator = self.dropped + pos, [], None, ","
+        while separator == ",":
+            (batch, separator), pos = self.unit(self._batch, pos)
+            per_area = (self.dropped + pos - start) / (len(names) + len(batch))
+            more = int((len(self.mm) - self.read + len(self.text) - pos) / per_area)
+            values = _append_grids(values, names, batch, more)
+        values.resize((len(names), *values.shape[1:]), refcheck=False)
+        separator, pos = self.unit(_token, pos, ",}")
+        return (names, values, separator), pos
+
+    def _batch(self, text: str, pos: int) -> tuple:
+        """The areas that lie wholly in ``text`` from ``pos`` on, each with the separator
+        after it, the last separator and the index after it; ValueError for none."""
+        # An area is an object, which ends in "}", so the text up to its last "}" is
+        # most often whole areas, parsed here in one call; where it parses as an array,
+        # it ends where an area ends. Otherwise the areas are parsed one at a time.
+        cut = text.rfind("}", pos) + 1
+        if not cut:
+            raise ValueError(f"no whole area at {pos}")
+        chunk = f"[{text[pos:cut]}]"
+        try:
+            batch, end = self.scan(chunk, 0)
+            if end == len(chunk):
+                separator, after = _token(text, cut, ",]")
+                return (batch, separator), after
+        except (ValueError, StopIteration):
+            pass
+        batch, separator = [], ","
+        while separator == ",":
+            try:
+                entry, end = self.scan(text, pos)
+                separator, after = _token(text, end, ",]")
+            except (ValueError, StopIteration):
+                break
+            batch.append(entry)
+            pos = after
+        if not batch:
+            raise ValueError(f"no whole area at {pos}")
+        return (batch, separator), pos
+
+
+def _streamed_json(path: Path):
+    """The JSON document at ``path``, its "areas" the area names, and the areas'
+    (n, m, T) values, parsed by ``_JsonWindows``.
+
+    None for a file no larger than one window, and for one that the streaming reader
+    does not handle: one that does not parse, starts with a BOM or has data after the
+    document, a duplicate top-level key, no areas, or an area that is not a clean grid
+    as ``_clean_grids`` takes it or has another area's shape. The whole text is then
+    read by ``_parse_json``, which alone accepts the file or reports the error.
+    """
+    with open(path, "rb") as fh:
+        if os.fstat(fh.fileno()).st_size <= _JSON_WINDOW:
+            return None
+        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mm:
+            try:
+                return _JsonWindows(mm).document()
+            except (ValueError, RecursionError):  # also UnicodeDecodeError
+                return None
+
+
 def _load_json(path: Path) -> AssessmentInput:
+    streamed = _streamed_json(path)
+    if streamed is not None:
+        doc, values = streamed
+        *fields, names = _json_header(doc)  # the same errors as the whole document's
+        if values.shape[1:] == (len(fields[0]), len(fields[1])):
+            return AssessmentInput(*fields, names, _Built(values))
     *fields, values = _input_fields(_parse_json(path))  # the document and its grids are freed here
     return AssessmentInput(*fields, _Built(values))
 
@@ -502,15 +719,15 @@ def render_text(report: "AssessmentReport", decimals: int) -> str:
 
 
 # one area of the JSON report as json.dumps(..., indent=2) lays it out
-_JSON_AREA = """    {{
-      "name": {},
-      "gamma_pos": {!r},
-      "gamma_neg": {!r},
-      "superiority": {!r},
-      "rank": {},
-      "level": "{}",
-      "tied": {}
-    }}"""
+_JSON_AREA = """    {
+      "name": %s,
+      "gamma_pos": %r,
+      "gamma_neg": %r,
+      "superiority": %r,
+      "rank": %s,
+      "level": "%s",
+      "tied": %s
+    }"""
 
 
 def render_json(report: "AssessmentReport") -> str:
@@ -522,8 +739,8 @@ def render_json(report: "AssessmentReport") -> str:
     """
     r = report.result
     areas = ",\n".join([
-        _JSON_AREA.format(encode_basestring_ascii(name), gp, gn, s, rank, label,
-                          "true" if tied else "false")
+        _JSON_AREA % (encode_basestring_ascii(name), gp, gn, s, rank, label,
+                      "true" if tied else "false")
         for name, gp, gn, s, rank, label, tied in _rows(report)
     ])
     rest = {"config": r.config_echo, "fingerprint": report.fingerprint,

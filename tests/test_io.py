@@ -133,17 +133,18 @@ class TestLoadJson:
         return peak / inp.values.nbytes
 
     def test_load_peak_is_a_few_score_arrays(self, tmp_path):
-        # scores with three decimals, as the benchmark writes them: a 1.5 MB file. The
-        # grids as parsed are freed before the input copies their stack, so at most two
-        # score arrays are held at once; a tree of floats and lists would be 8x
+        # scores with three decimals, as the benchmark writes them: a 1.5 MB file, read
+        # one window at a time, each window's grids copied into the one score array and
+        # freed: 1.32x, the rest being the names, a window's text and its parsed areas.
+        # Held whole, the text and the parsed document came to 2.6x
         values = np.round(np.random.default_rng(3).uniform(0.0, 100.0, (2000, 15, 6)), 3)
-        assert self._load_peak_in_scores(tmp_path / "areas.json", values) <= 3.0
+        assert self._load_peak_in_scores(tmp_path / "areas.json", values) <= 1.5
 
     def test_load_peak_of_full_precision_scores(self, tmp_path):
-        # 17-digit scores: a 3.6 MB file, whose text is decoded from a map of the file
-        # and so is never held beside its bytes
+        # 17-digit scores: a 3.6 MB file, whose text was the larger part of a whole-text
+        # load (4.0x); read one window at a time, it peaks at 1.28x
         values = np.random.default_rng(3).uniform(0.0, 100.0, (2000, 15, 6))
-        assert self._load_peak_in_scores(tmp_path / "areas.json", values) <= 4.3
+        assert self._load_peak_in_scores(tmp_path / "areas.json", values) <= 1.5
 
     def test_csv_bundle_load_peak_is_one_score_array(self, tmp_path):
         # the stacked scores are handed to the input, not copied, and each area file is
@@ -734,6 +735,108 @@ def test_plain_json_documents_never_reach_the_per_area_reader(monkeypatch, tmp_p
     for extra in ({}, {"description": "false alarms excluded"}):  # checked for bools
         path.write_text(json.dumps({**generated, **extra}))
         np.testing.assert_array_equal(load_input(path).values, values)
+
+
+def test_clean_json_files_larger_than_a_window_are_never_read_whole(monkeypatch, tmp_path):
+    def refuse(path):
+        raise AssertionError("the whole text was parsed")
+
+    values = np.random.default_rng(5).uniform(-1e3, 1e3, (300, 15, 6))
+    generated = input_to_dict(make_input(values))
+    path = tmp_path / "case.json"
+    monkeypatch.setattr(gio, "_parse_json", refuse)
+    for extra in ({}, {"description": "false alarms excluded"}):  # checked for bools
+        path.write_text(json.dumps({**extra, **generated}))
+        assert path.stat().st_size > gio._JSON_WINDOW
+        np.testing.assert_array_equal(load_input(path).values, values)
+    generated["areas"][-1]["values"][0][0] = True
+    path.write_text(json.dumps(generated))
+    with pytest.raises(AssertionError, match="the whole text was parsed"):
+        load_input(path)
+
+
+def _file_bytes(members, ensure_ascii=True, indent=None) -> bytes:
+    """A JSON object of the (key, value) ``members`` in order, duplicates kept, as UTF-8."""
+    dumps = functools.partial(json.dumps, ensure_ascii=ensure_ascii, indent=indent)
+    return ("{" + ", ".join(f"{dumps(key)}: {dumps(value)}" for key, value in members)
+            + "}").encode()
+
+
+@st.composite
+def _json_files(draw):
+    """The bytes of a JSON file of _JSON_META and areas from _json_area_lists, in any
+    member order, with extra members, keys and names, and whether it is well formed:
+    without a duplicate top-level key, a BOM, trailing data or a truncation."""
+    areas = draw(_json_area_lists(_FILE_NUMBERS, _FILE_CELLS))
+    for k, area in enumerate(areas):
+        if isinstance(area, dict) and draw(st.booleans()):
+            if "name" in area and draw(st.booleans()):  # UTF-8 bytes that straddle windows
+                area["name"] = draw(st.text("aé北\U0001f30d", min_size=1, max_size=4))
+            note = draw(st.sampled_from([1.5, "true", None, [[1.0]], {"values": [[1, 2, 3]]}]))
+            areas[k] = {"note": note, **area} if draw(st.booleans()) else {**area, "note": note}
+    extras = draw(st.lists(st.tuples(st.sampled_from(["description", "version", "source"]),
+                                     st.one_of(_FILE_NUMBERS, st.sampled_from(
+                                         ["no false alarms", "é北", [1, 2], {}]))),
+                           max_size=2, unique_by=lambda member: member[0]))
+    members = draw(st.permutations([*_JSON_META.items(), ("areas", areas), *extras]))
+    duplicate = draw(st.booleans())
+    if duplicate:
+        members.append(draw(st.sampled_from(members)))
+    text = _file_bytes(members, draw(st.booleans()), draw(st.sampled_from([None, 1]))).decode()
+    if draw(st.booleans()):
+        text = text.replace("\n", "\r\n")
+    if draw(st.booleans()):
+        text = text.replace('"values"', '"\\u0076alues"')
+    data = text.encode()
+    flaw = draw(st.sampled_from([None, None, "bom", "trailing", "truncated"]))
+    if flaw == "bom":
+        data = b"\xef\xbb\xbf" + data
+    elif flaw == "trailing":
+        data += draw(st.sampled_from([b" x", b"{}", b" \r\n ,"]))
+    elif flaw == "truncated":
+        data = data[:draw(st.integers(0, len(data) - 1))]
+    return data, not duplicate and flaw is None
+
+
+def _read_file(path):
+    """What load_input reads from ``path``, or the type and message of its error."""
+    try:
+        inp = load_input(path)
+    except (InputFormatError, ValidationError) as exc:
+        return type(exc), str(exc)
+    return (inp.indices, inp.periods, inp.time_weights.tobytes(), inp.area_names,
+            inp.values.shape, inp.values.tobytes())
+
+
+_CLEAN_AREAS = [{"name": "a", "values": [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]},
+                {"name": "b", "values": [[0.5, 25, -0.0], [7.0, 8.0, 9.0]]}]
+
+
+@given(_json_files(), st.integers(1, 64))
+@settings(max_examples=300, deadline=None)
+# a number that the text ends inside of, read again once the next window is added
+@example((_file_bytes([*_JSON_META.items(), ("version", 1234567.125), ("areas", _CLEAN_AREAS)]),
+          True), 1)
+# a grid's true in a later window than the first, which spells neither true nor false
+@example((_file_bytes([*_JSON_META.items(), ("areas", [
+    _CLEAN_AREAS[0], {"name": "b", "values": [[1.0, True, 3.0], [4.0, 5.0, 6.0]]}])]), True), 64)
+@example((_file_bytes([*_JSON_META.items(), ("areas", [  # every grid 3 x 2, not 2 x 3
+    {"name": name, "values": [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]} for name in "ab"])]), True), 16)
+def test_streamed_json_loads_as_the_whole_text(file, window):
+    """Read in windows of 1-64 bytes, a JSON file loads exactly as its whole text does,
+    or fails with the same error; a well-formed file of clean grids is never read whole."""
+    data, well_formed = file
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "case.json"
+        path.write_bytes(data)
+        with mock.patch.object(gio, "_JSON_WINDOW", len(data)):
+            whole = _read_file(path)
+        with mock.patch.object(gio, "_JSON_WINDOW", window):
+            assert _read_file(path) == whole
+            if well_formed and not isinstance(whole[0], type):
+                doc = json.loads(data, object_hook=functools.partial(gio._grid_hook, bools=True))
+                if gio._json_grids(doc["areas"], 2, 3) is not None:
+                    assert gio._streamed_json(path) is not None
 
 
 class TestEmitReport:
