@@ -85,6 +85,7 @@ def _cmd_assess(args) -> int:
         output_format=args.format,
     )
     report = run_assessment(inp, config)
+    del inp  # rendering needs only the report; at 5000 areas the input set the call's peak
     gio.emit_report(report, config, args.output)
     return EXIT_OK
 

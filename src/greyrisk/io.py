@@ -7,14 +7,14 @@ json            {"indices": [{"id", "name", "orientation", "weight"}, ...],
                  "areas":   [{"name", "values": [[m rows of T reals]]}, ...]}
                 where orientation is "benefit" | "cost" | "intermediate" |
                 {"interval": [low, high]}. An optional top-level
-                "description" string documents the dataset. A file larger
-                than _JSON_WINDOW (64 KiB) is decoded and parsed one window
-                at a time from a read-only map of it, and each window's
-                clean area grids are copied into the one (n, m, T) score
-                array, so its text and parsed document are never held whole.
-                A smaller file, or one that this reader does not take, is
-                parsed as one text, which alone decides what loads and
-                every error message.
+                "description" string documents the dataset. The file is
+                decoded and parsed one window (_JSON_WINDOW, 64 KiB) at a
+                time from a read-only map of it, and each window's clean
+                area grids are copied into the one (n, m, T) score array, so
+                its text and parsed document are never held whole. A file
+                that this reader declines, at its first flaw or at anything
+                else it does not take, is parsed again as one text, which
+                alone decides what loads and every error message.
 
 csv-bundle      a directory with indices.csv (id,name,orientation,weight,
                 interval_low,interval_high), periods.csv (label,weight), and
@@ -185,20 +185,6 @@ def _clean_grids(entries: list):
     return (names, grids, *shapes) if len(shapes) == 1 else None
 
 
-def _json_grids(entries: list, m: int, T: int):
-    """The names and (n, m, T) values of the areas, or None.
-
-    The grids are stacked once when ``_clean_grids`` finds them clean and m x T. None
-    means they are not; then ``_json_areas`` reads the entries again and alone decides
-    whether they are accepted and, if not, locates the error. No value array is made
-    unless every shape holds.
-    """
-    clean = _clean_grids(entries)
-    if clean is None or clean[2] != (m, T):
-        return None
-    return clean[0], np.concatenate(clean[1]).reshape(-1, m, T)
-
-
 def _json_areas(entries: list):
     for k, entry in enumerate(entries):
         locus = f"areas[{k}]"
@@ -241,11 +227,8 @@ def _input_fields(doc: dict) -> tuple:
     """The fields of the AssessmentInput of a json document, in order; the values are
     one (n, m, T) array that holds no reference to ``doc``."""
     indices, labels, time_weights, areas = _json_header(doc)
-    m, T = len(indices), len(labels)
-    columns = _json_grids(areas, m, T)
-    if columns is None:
-        columns = _stack(m, T, len(areas), _json_areas(areas))
-    return (indices, labels, time_weights, *columns)
+    return (indices, labels, time_weights,
+            *_stack(len(indices), len(labels), len(areas), _json_areas(areas)))
 
 
 def _metadata(inp: AssessmentInput) -> dict:
@@ -291,7 +274,7 @@ def _grid_hook(obj: dict, bools: bool = False) -> dict:
     it cannot hold in either (as 10**400) gives an object array. Inference reads
     a bool as a number, so with ``bools`` set, for text that spells ``true`` or
     ``false``, a grid with a bool among its cells is not clean. Anything else is
-    left as parsed, for ``_json_areas`` to accept or refuse.
+    left as parsed, for ``_clean_grids`` to refuse.
     """
     values = obj.get("values")
     if type(values) is list:
@@ -323,14 +306,9 @@ def _read_text(path: Path) -> str:
 
 
 def _parse_json(path: Path):
-    """The JSON document at ``path``, each clean area grid parsed straight into an
-    array by ``_grid_hook``, so such grids never exist as lists of floats; grids are
-    checked for bools only where the text spells ``true`` or ``false``."""
+    """The JSON document at ``path``, parsed as one text."""
     try:
-        text = _read_text(path)
-        bools = "true" in text or "false" in text
-        hook = functools.partial(_grid_hook, bools=True) if bools else _grid_hook
-        return json.loads(text, object_hook=hook)
+        return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     except ValueError as exc:  # also UnicodeDecodeError, and integers too long to convert
@@ -339,8 +317,13 @@ def _parse_json(path: Path):
         raise InputFormatError(f"{path}: JSON arrays or objects nested too deeply") from exc
 
 
-# a JSON file larger than this many bytes is decoded and parsed one window at a time
+# a JSON file is decoded and parsed this many bytes at a time
 _JSON_WINDOW = 1 << 16
+
+# A window that ends inside a value makes the scanner fail at the text's end, a few
+# characters before it (in a cut number, literal or escape), or as an unterminated string;
+# any other error further than this many characters before the text's end is a flaw.
+_JSON_SLACK = 64
 
 # a character that is not whitespace, with the whitespace around it
 _TOKEN = re.compile(r"[ \t\n\r]*([^ \t\n\r])[ \t\n\r]*")
@@ -351,7 +334,8 @@ def _token(text: str, pos: int, chars: str) -> tuple:
     after the whitespace after it."""
     found = _TOKEN.match(text, pos)
     if found is None or found[1] not in chars:
-        raise ValueError(f"expected one of {chars!r} at {pos}")
+        raise json.JSONDecodeError(f"Expecting one of {chars!r}", text,
+                                   len(text) if found is None else found.start(1))
     return found[1], found.end()
 
 
@@ -386,9 +370,8 @@ class _JsonWindows:
     wholly in the text, each with its separator) is parsed again over more text until
     it parses whole: so a number that ends where the text ends is read again with the
     digits that follow. Grids are checked for bools wherever the text spells ``true``
-    or ``false``; a unit parses only where it lies wholly in the text. A unit that
-    does not parse is retried to the file's end before the reader gives up; only a
-    top level that is not an object is refused at once.
+    or ``false``; a unit parses only where it lies wholly in the text. The reader
+    declines at the first flaw, as ``_JSON_SLACK`` tells one from a cut window.
     """
 
     def __init__(self, mm: mmap.mmap):
@@ -415,18 +398,24 @@ class _JsonWindows:
         return 0
 
     def unit(self, parse, pos: int, *args):
-        """``parse(text, pos, *args)``, again over more text each time it fails."""
+        """``parse(text, pos, *args)``, again over more text each time it fails short of
+        a flaw; ValueError at a flaw."""
         while True:
             try:
                 return parse(self.text, pos, *args)
-            except (ValueError, StopIteration):  # StopIteration: no value at pos
+            except (ValueError, StopIteration) as exc:
+                # StopIteration(index) is the C scanner's "Expecting value", at any depth
+                end = len(self.text) - _JSON_SLACK
+                at = exc.value if type(exc) is StopIteration else getattr(exc, "pos", end)
+                if at < end and not str(exc).startswith("Unterminated"):
+                    raise ValueError("a flaw in the file") from exc
                 pos = self.extend(pos)
                 pos = WHITESPACE.match(self.text, pos).end()
 
     @staticmethod
     def _key(text: str, pos: int) -> tuple:
         if not text.startswith('"', pos):
-            raise ValueError(f"expected a key at {pos}")
+            raise json.JSONDecodeError("Expecting a key", text, pos)
         key, pos = scanstring(text, pos + 1)
         return key, _token(text, pos, ":")[1]
 
@@ -439,9 +428,6 @@ class _JsonWindows:
         """The top-level object, its "areas" the area names, and the areas' (n, m, T)
         values; ValueError for a file this reader does not handle."""
         doc, values, separator = {}, None, ","
-        first = _TOKEN.match(self.text)
-        if first is not None and first[1] != "{":  # a BOM, say: refused before more is read
-            raise ValueError("the top level is not an object")
         pos = self.unit(_token, 0, "{")[1]
         while separator == ",":
             key, pos = self.unit(self._key, pos)
@@ -462,8 +448,14 @@ class _JsonWindows:
     def _areas(self, pos: int) -> tuple:
         """The names and values of the areas array at ``pos``, the separator after it,
         and the index after that separator."""
+        names = []
+        if self.read == len(self.mm):  # the text holds the rest of the file: no copy of it
+            (entries, separator), pos = self.unit(self._value, pos, ",}")
+            if type(entries) is not list:
+                raise ValueError("the areas are not an array")
+            return (names, _append_grids(None, names, entries, 0), separator), pos
         pos = self.unit(_token, pos, "[")[1]
-        start, names, values, separator = self.dropped + pos, [], None, ","
+        start, values, separator = self.dropped + pos, None, ","
         while separator == ",":
             (batch, separator), pos = self.unit(self._batch, pos)
             per_area = (self.dropped + pos - start) / (len(names) + len(batch))
@@ -475,7 +467,8 @@ class _JsonWindows:
 
     def _batch(self, text: str, pos: int) -> tuple:
         """The areas that lie wholly in ``text`` from ``pos`` on, each with the separator
-        after it, the last separator and the index after it; ValueError for none."""
+        after it, the last separator and the index after it; the scanner's error for
+        none."""
         # An area is an object, which ends in "}", so the text up to its last "}" is
         # most often whole areas, parsed here in one call; where it parses as an array,
         # it ends where an area ends. Otherwise the areas are parsed one at a time.
@@ -496,11 +489,11 @@ class _JsonWindows:
                 entry, end = self.scan(text, pos)
                 separator, after = _token(text, end, ",]")
             except (ValueError, StopIteration):
-                break
+                if batch:
+                    break
+                raise  # for ``unit`` to tell a flaw from a cut window
             batch.append(entry)
             pos = after
-        if not batch:
-            raise ValueError(f"no whole area at {pos}")
         return (batch, separator), pos
 
 
@@ -508,20 +501,18 @@ def _streamed_json(path: Path):
     """The JSON document at ``path``, its "areas" the area names, and the areas'
     (n, m, T) values, parsed by ``_JsonWindows``.
 
-    None for a file no larger than one window, and for one that the streaming reader
-    does not handle: one that does not parse, starts with a BOM or has data after the
-    document, a duplicate top-level key, no areas, or an area that is not a clean grid
-    as ``_clean_grids`` takes it or has another area's shape. The whole text is then
-    read by ``_parse_json``, which alone accepts the file or reports the error.
+    None for a file that the streaming reader declines: one that is empty, does not
+    parse, starts with a BOM or has data after the document, a duplicate top-level
+    key, no areas, or an area that is not a clean grid as ``_clean_grids`` takes it or
+    has another area's shape. The whole text is then read by ``_parse_json``, which
+    alone accepts the file or reports the error.
     """
     with open(path, "rb") as fh:
-        if os.fstat(fh.fileno()).st_size <= _JSON_WINDOW:
-            return None
-        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mm:
-            try:
+        try:
+            with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mm:  # ValueError if empty
                 return _JsonWindows(mm).document()
-            except (ValueError, RecursionError):  # also UnicodeDecodeError
-                return None
+        except (ValueError, RecursionError):  # also UnicodeDecodeError
+            return None
 
 
 def _load_json(path: Path) -> AssessmentInput:

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -340,6 +341,27 @@ def test_npy_bundle_input_prints_the_golden_report(tmp_path, capsys):
     assert main(["assess", "--input", str(tmp_path / "bundle")]) == 0
     golden = Path(__file__).parent / "golden" / "first-column-d2.txt"
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
+def test_assess_frees_its_input_before_rendering(case_json, monkeypatch, capsys):
+    import greyrisk.io as gio
+
+    loaded = []
+
+    def load(*args):
+        inp = load_input(*args)
+        loaded.append(weakref.ref(inp))
+        return inp
+
+    def emit(*args):
+        assert loaded[0]() is None, "the input is alive while the report renders"
+        emit_report(*args)
+
+    load_input, emit_report = gio.load_input, gio.emit_report
+    monkeypatch.setattr(gio, "load_input", load)
+    monkeypatch.setattr(gio, "emit_report", emit)
+    assert main(["assess", "--input", str(case_json)]) == 0
+    assert "area3" in capsys.readouterr().out
 
 
 def test_assess_takes_each_index_extrema_once(case_json, monkeypatch, capsys):

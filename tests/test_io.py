@@ -8,6 +8,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import tempfile
 import tracemalloc
 import warnings
@@ -704,8 +705,7 @@ def test_json_file_reads_as_the_per_area_reader_reads_its_document(areas, word, 
     elif word:
         doc["description"] = f"no {word} alarms"
     text = json.dumps(doc)
-    with mock.patch.object(gio, "_json_grids", lambda entries, m, T: None):
-        per_area = _read_document(json.loads(text))
+    per_area = _read_document(json.loads(text))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "case.json"
         path.write_text(text, encoding="utf-8")
@@ -737,18 +737,19 @@ def test_plain_json_documents_never_reach_the_per_area_reader(monkeypatch, tmp_p
         np.testing.assert_array_equal(load_input(path).values, values)
 
 
-def test_clean_json_files_larger_than_a_window_are_never_read_whole(monkeypatch, tmp_path):
+def test_clean_json_files_of_every_size_are_never_read_whole(monkeypatch, tmp_path):
     def refuse(path):
         raise AssertionError("the whole text was parsed")
 
-    values = np.random.default_rng(5).uniform(-1e3, 1e3, (300, 15, 6))
-    generated = input_to_dict(make_input(values))
-    path = tmp_path / "case.json"
     monkeypatch.setattr(gio, "_parse_json", refuse)
-    for extra in ({}, {"description": "false alarms excluded"}):  # checked for bools
-        path.write_text(json.dumps({**extra, **generated}))
-        assert path.stat().st_size > gio._JSON_WINDOW
-        np.testing.assert_array_equal(load_input(path).values, values)
+    load_bundled_case()
+    path = tmp_path / "case.json"
+    for n in (2, 40, 300):  # one window, or several
+        values = np.random.default_rng(n).uniform(-1e3, 1e3, (n, 15, 6))
+        generated = input_to_dict(make_input(values))
+        for extra in ({}, {"description": "false alarms excluded"}):  # checked for bools
+            path.write_text(json.dumps({**extra, **generated}))
+            np.testing.assert_array_equal(load_input(path).values, values)
     generated["areas"][-1]["values"][0][0] = True
     path.write_text(json.dumps(generated))
     with pytest.raises(AssertionError, match="the whole text was parsed"):
@@ -766,7 +767,8 @@ def _file_bytes(members, ensure_ascii=True, indent=None) -> bytes:
 def _json_files(draw):
     """The bytes of a JSON file of _JSON_META and areas from _json_area_lists, in any
     member order, with extra members, keys and names, and whether it is well formed:
-    without a duplicate top-level key, a BOM, trailing data or a truncation."""
+    without a duplicate top-level key, a BOM, trailing data, a truncation or an inserted
+    token."""
     areas = draw(_json_area_lists(_FILE_NUMBERS, _FILE_CELLS))
     for k, area in enumerate(areas):
         if isinstance(area, dict) and draw(st.booleans()):
@@ -788,24 +790,32 @@ def _json_files(draw):
     if draw(st.booleans()):
         text = text.replace('"values"', '"\\u0076alues"')
     data = text.encode()
-    flaw = draw(st.sampled_from([None, None, "bom", "trailing", "truncated"]))
+    flaw = draw(st.sampled_from([None, None, "bom", "trailing", "truncated", "inserted"]))
     if flaw == "bom":
         data = b"\xef\xbb\xbf" + data
     elif flaw == "trailing":
         data += draw(st.sampled_from([b" x", b"{}", b" \r\n ,"]))
     elif flaw == "truncated":
         data = data[:draw(st.integers(0, len(data) - 1))]
+    elif flaw == "inserted":
+        k = draw(st.integers(0, len(data)))
+        data = data[:k] + draw(st.sampled_from([b",", b'"', b" 1", b"]", b"}", b"x"])) + data[k:]
     return data, not duplicate and flaw is None
 
 
-def _read_file(path):
-    """What load_input reads from ``path``, or the type and message of its error."""
+def _read_file(path, load=load_input):
+    """What ``load`` reads from ``path``, or the type and message of its error."""
     try:
-        inp = load_input(path)
+        inp = load(path)
     except (InputFormatError, ValidationError) as exc:
         return type(exc), str(exc)
     return (inp.indices, inp.periods, inp.time_weights.tobytes(), inp.area_names,
             inp.values.shape, inp.values.tobytes())
+
+
+def _whole_text(path):
+    """The input of the JSON file at ``path`` read as one text, area by area."""
+    return AssessmentInput(*gio._input_fields(gio._parse_json(path)))
 
 
 _CLEAN_AREAS = [{"name": "a", "values": [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]},
@@ -829,14 +839,77 @@ def test_streamed_json_loads_as_the_whole_text(file, window):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "case.json"
         path.write_bytes(data)
-        with mock.patch.object(gio, "_JSON_WINDOW", len(data)):
-            whole = _read_file(path)
+        whole = _read_file(path, _whole_text)
         with mock.patch.object(gio, "_JSON_WINDOW", window):
             assert _read_file(path) == whole
             if well_formed and not isinstance(whole[0], type):
                 doc = json.loads(data, object_hook=functools.partial(gio._grid_hook, bools=True))
-                if gio._json_grids(doc["areas"], 2, 3) is not None:
+                clean = gio._clean_grids(doc["areas"])
+                if clean is not None and clean[2] == (2, 3):
                     assert gio._streamed_json(path) is not None
+
+
+def test_a_value_cut_by_a_window_is_no_flaw(tmp_path):
+    """A window that ends inside a number, a literal, an escape, a string or an area's
+    nested object never makes the reader decline a clean file, at any window of 1-200
+    bytes."""
+    note = {"ratio": -1234567.125e-30, "flags": [True, False, None, float("nan"), -float("inf")],
+            "text": 'a "quoted" \\ é \U0001f30d ' * 4}
+    data = _file_bytes([("description", note["text"]), *_JSON_META.items(), ("version", note),
+                        ("areas", [{"note": note, **area} for area in _CLEAN_AREAS])])
+    path = tmp_path / "case.json"
+    path.write_bytes(data)
+    whole = _read_file(path, _whole_text)
+    for window in range(1, 201):
+        with mock.patch.object(gio, "_JSON_WINDOW", window):
+            assert gio._streamed_json(path) is not None, window
+            assert _read_file(path) == whole
+
+
+# A grid separator with the flaw that replaces it there: "Expecting value" (the C scanner's
+# StopIteration), "Expecting ',' delimiter" (a JSONDecodeError), and a string opened just
+# before a window's end, which is unterminated in that window and closed in the next.
+_REFUSED = {"value": b", , ", "delimiter": b"  ", "unterminated": b', "'}
+
+
+@pytest.mark.parametrize("kind", _REFUSED)
+@pytest.mark.parametrize("at", [0.1, 0.5, 0.9])
+def test_a_refused_json_file_is_declined_at_its_flaw(monkeypatch, tmp_path, kind, at):
+    """The streamed reader stops within two windows of a flaw, and the whole text, parsed
+    once, gives the error."""
+    window = 4096
+    values = np.random.default_rng(3).uniform(-1e3, 1e3, (60, 15, 6))
+    data = json.dumps(input_to_dict(make_input(values))).encode()
+    assert len(data) >= 3 * window
+    start = int(at * len(data))
+    if kind == "unterminated":
+        start = (start // window + 1) * window - 40
+    flaw = re.compile(rb"\d(, )").search(data, start).start(1)
+    data = data[:flaw] + _REFUSED[kind] + data[flaw + 2:]
+    if kind == "unterminated":
+        assert flaw < start + 40 < data.index(b'"', flaw + 3)
+    path = tmp_path / "case.json"
+    path.write_bytes(data)
+    whole = _read_file(path, _whole_text)
+    assert whole[0] is InputFormatError
+
+    reads, parses = [], []
+    extend, parse = gio._JsonWindows.extend, gio._parse_json
+
+    def counted_extend(self, pos):
+        reads.append(self.read)
+        return extend(self, pos)
+
+    def counted_parse(path):
+        parses.append(path)
+        return parse(path)
+
+    monkeypatch.setattr(gio, "_JSON_WINDOW", window)
+    monkeypatch.setattr(gio._JsonWindows, "extend", counted_extend)
+    monkeypatch.setattr(gio, "_parse_json", counted_parse)
+    assert _read_file(path) == whole
+    assert parses == [path]
+    assert sum(read > flaw for read in reads) <= 2, reads
 
 
 class TestEmitReport:
