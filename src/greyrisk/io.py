@@ -11,10 +11,13 @@ json            {"indices": [{"id", "name", "orientation", "weight"}, ...],
                 decoded and parsed one window (_JSON_WINDOW, 64 KiB) at a
                 time from a read-only map of it, and each window's clean
                 area grids are copied into the one (n, m, T) score array, so
-                its text and parsed document are never held whole. A file
-                that this reader declines, at its first flaw or at anything
-                else it does not take, is parsed again as one text, which
-                alone decides what loads and every error message.
+                its text and parsed document are never held whole. That read
+                decides every file it parses to its end. Only a file it
+                declines is parsed again as one text: one that is empty, not
+                UTF-8, starts with a BOM, does not parse or is not an object,
+                has data after the document, or whose "areas" are empty, not
+                an array, or hold an area that is not a clean grid or has
+                another area's shape.
 
 csv-bundle      a directory with indices.csv (id,name,orientation,weight,
                 interval_low,interval_high), periods.csv (label,weight), and
@@ -325,6 +328,9 @@ _JSON_WINDOW = 1 << 16
 # any other error further than this many characters before the text's end is a flaw.
 _JSON_SLACK = 64
 
+# the scanner of the top-level members other than "areas", as json.loads parses them
+_SCAN = json.JSONDecoder().scan_once
+
 # a character that is not whitespace, with the whitespace around it
 _TOKEN = re.compile(r"[ \t\n\r]*([^ \t\n\r])[ \t\n\r]*")
 
@@ -355,7 +361,7 @@ def _append_grids(values, names: list, entries: list, more: int):
         values = np.empty((n + more, *shape))
     elif n > len(values):
         values.resize((n + more, *shape), refcheck=False)  # no view of it is held
-    np.concatenate(grids, out=values[k:n].reshape(-1, shape[1]))  # a view: the slice is whole rows
+    np.concatenate(grids, out=values[k:n].reshape(len(grids) * shape[0], shape[1]))  # a view
     names += clean[0]
     return values
 
@@ -365,7 +371,7 @@ class _JsonWindows:
 
     The bytes are decoded as UTF-8 one window at a time, straight from the map, and
     ``text`` holds what was left unparsed before the last window, then that window.
-    Values are parsed by the scanner ``json.loads`` uses, with ``_grid_hook``. A unit
+    Values are parsed by the scanner ``json.loads`` uses, the areas with ``_grid_hook``. A unit
     (a key and its colon, a value and the separator after it, or the areas that lie
     wholly in the text, each with its separator) is parsed again over more text until
     it parses whole: so a number that ends where the text ends is read again with the
@@ -419,26 +425,23 @@ class _JsonWindows:
         key, pos = scanstring(text, pos + 1)
         return key, _token(text, pos, ":")[1]
 
-    def _value(self, text: str, pos: int, separators: str) -> tuple:
-        value, pos = self.scan(text, pos)
+    @staticmethod
+    def _value(text: str, pos: int, separators: str, scan) -> tuple:
+        value, pos = scan(text, pos)
         separator, pos = _token(text, pos, separators)
         return (value, separator), pos
 
     def document(self) -> tuple:
         """The top-level object, its "areas" the area names, and the areas' (n, m, T)
-        values; ValueError for a file this reader does not handle."""
+        values, None without "areas"; ValueError for a file this reader does not handle."""
         doc, values, separator = {}, None, ","
         pos = self.unit(_token, 0, "{")[1]
-        while separator == ",":
+        while separator == ",":  # a repeated key takes its last value, as in json.loads
             key, pos = self.unit(self._key, pos)
-            if key in doc:
-                raise ValueError(f"duplicate key {key!r}")
             if key == "areas":
                 (doc[key], values, separator), pos = self._areas(pos)
             else:
-                (doc[key], separator), pos = self.unit(self._value, pos, ",}")
-        if values is None:
-            raise ValueError("no areas")
+                (doc[key], separator), pos = self.unit(self._value, pos, ",}", _SCAN)
         while WHITESPACE.match(self.text, pos).end() == len(self.text):
             if self.read == len(self.mm):
                 return doc, values
@@ -450,7 +453,7 @@ class _JsonWindows:
         and the index after that separator."""
         names = []
         if self.read == len(self.mm):  # the text holds the rest of the file: no copy of it
-            (entries, separator), pos = self.unit(self._value, pos, ",}")
+            (entries, separator), pos = self.unit(self._value, pos, ",}", self.scan)
             if type(entries) is not list:
                 raise ValueError("the areas are not an array")
             return (names, _append_grids(None, names, entries, 0), separator), pos
@@ -497,33 +500,29 @@ class _JsonWindows:
         return (batch, separator), pos
 
 
-def _streamed_json(path: Path):
-    """The JSON document at ``path``, its "areas" the area names, and the areas'
-    (n, m, T) values, parsed by ``_JsonWindows``.
+def _load_json(path: Path) -> AssessmentInput:
+    """The input of the JSON file at ``path``, as ``_JsonWindows`` reads it.
 
-    None for a file that the streaming reader declines: one that is empty, does not
-    parse, starts with a BOM or has data after the document, a duplicate top-level
-    key, no areas, or an area that is not a clean grid as ``_clean_grids`` takes it or
-    has another area's shape. The whole text is then read by ``_parse_json``, which
-    alone accepts the file or reports the error.
+    Only a file that reader declines is parsed again as one text by ``_parse_json``:
+    one that is empty, not UTF-8, starts with a BOM, does not parse or is not an object,
+    has data after the document, or whose "areas" are empty, not an array, or hold an
+    area that is not a clean grid as ``_clean_grids`` takes it or has another area's
+    shape.
     """
     with open(path, "rb") as fh:
         try:
             with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mm:  # ValueError if empty
-                return _JsonWindows(mm).document()
+                doc, values = _JsonWindows(mm).document()
         except (ValueError, RecursionError):  # also UnicodeDecodeError
-            return None
-
-
-def _load_json(path: Path) -> AssessmentInput:
-    streamed = _streamed_json(path)
-    if streamed is not None:
-        doc, values = streamed
-        *fields, names = _json_header(doc)  # the same errors as the whole document's
-        if values.shape[1:] == (len(fields[0]), len(fields[1])):
-            return AssessmentInput(*fields, names, _Built(values))
-    *fields, values = _input_fields(_parse_json(path))  # the document and its grids are freed here
-    return AssessmentInput(*fields, _Built(values))
+            doc = None
+    if doc is None:
+        *fields, values = _input_fields(_parse_json(path))  # the document is freed here
+        return AssessmentInput(*fields, _Built(values))
+    *fields, names = _json_header(doc)  # the same errors as the whole document's
+    shape = (len(fields[0]), len(fields[1]))
+    if values.shape[1:] != shape:  # every grid has the other shape: _stack names each
+        _stack(*shape, len(names), zip(names, values))
+    return AssessmentInput(*fields, names, _Built(values))
 
 
 def _csv_grid(path: Path) -> np.ndarray:

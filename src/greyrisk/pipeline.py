@@ -39,7 +39,7 @@ from .weighting import _weigh, _weight_grids
 
 MAX_REPORT_DECIMALS = 12  # the text report prints 0 to this many decimals
 # an input of more score cells than this is hashed on a worker thread while the run
-# goes on; below it, starting and joining the thread costs more than it saves
+# goes on; in a fresh process that breaks even between 100 000 cells and this (README)
 FINGERPRINT_THREAD_CELLS = 250_000
 
 

@@ -766,9 +766,9 @@ def _file_bytes(members, ensure_ascii=True, indent=None) -> bytes:
 @st.composite
 def _json_files(draw):
     """The bytes of a JSON file of _JSON_META and areas from _json_area_lists, in any
-    member order, with extra members, keys and names, and whether it is well formed:
-    without a duplicate top-level key, a BOM, trailing data, a truncation or an inserted
-    token."""
+    member order, with extra members, keys and names, a top-level member perhaps
+    repeated, and whether it is well formed: without a BOM, trailing data, a truncation
+    or an inserted token."""
     areas = draw(_json_area_lists(_FILE_NUMBERS, _FILE_CELLS))
     for k, area in enumerate(areas):
         if isinstance(area, dict) and draw(st.booleans()):
@@ -781,8 +781,7 @@ def _json_files(draw):
                                          ["no false alarms", "é北", [1, 2], {}]))),
                            max_size=2, unique_by=lambda member: member[0]))
     members = draw(st.permutations([*_JSON_META.items(), ("areas", areas), *extras]))
-    duplicate = draw(st.booleans())
-    if duplicate:
+    if draw(st.booleans()):
         members.append(draw(st.sampled_from(members)))
     text = _file_bytes(members, draw(st.booleans()), draw(st.sampled_from([None, 1]))).decode()
     if draw(st.booleans()):
@@ -800,7 +799,7 @@ def _json_files(draw):
     elif flaw == "inserted":
         k = draw(st.integers(0, len(data)))
         data = data[:k] + draw(st.sampled_from([b",", b'"', b" 1", b"]", b"}", b"x"])) + data[k:]
-    return data, not duplicate and flaw is None
+    return data, flaw is None
 
 
 def _read_file(path, load=load_input):
@@ -818,6 +817,13 @@ def _whole_text(path):
     return AssessmentInput(*gio._input_fields(gio._parse_json(path)))
 
 
+def _read_streamed(path):
+    """What load_input reads from ``path``, as ``_read_file`` gives it, and how many
+    times it parsed the whole text."""
+    with mock.patch.object(gio, "_parse_json", wraps=gio._parse_json) as parse:
+        return _read_file(path), parse.call_count
+
+
 _CLEAN_AREAS = [{"name": "a", "values": [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]},
                 {"name": "b", "values": [[0.5, 25, -0.0], [7.0, 8.0, 9.0]]}]
 
@@ -832,21 +838,30 @@ _CLEAN_AREAS = [{"name": "a", "values": [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]},
     _CLEAN_AREAS[0], {"name": "b", "values": [[1.0, True, 3.0], [4.0, 5.0, 6.0]]}])]), True), 64)
 @example((_file_bytes([*_JSON_META.items(), ("areas", [  # every grid 3 x 2, not 2 x 3
     {"name": name, "values": [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]} for name in "ab"])]), True), 16)
+@example((_file_bytes([*_JSON_META.items(), ("areas", [  # every grid 2 x 0
+    {"name": name, "values": [[], []]} for name in "ab"])]), True), 8)
+@example((_file_bytes([("areas", _CLEAN_AREAS[:1]), *_JSON_META.items(),
+                       ("areas", _CLEAN_AREAS)]), True), 3)
+@example((_file_bytes([*_JSON_META.items(), ("regions", _CLEAN_AREAS)]), True), 5)
+@example((_file_bytes([("indices", [{**_JSON_META["indices"][0], "weight": {"values": [[1, 2]]}},
+                                    _JSON_META["indices"][1]]),  # its repr is in the message
+                       ("periods", _JSON_META["periods"]), ("areas", _CLEAN_AREAS)]), True), 64)
 def test_streamed_json_loads_as_the_whole_text(file, window):
     """Read in windows of 1-64 bytes, a JSON file loads exactly as its whole text does,
-    or fails with the same error; a well-formed file of clean grids is never read whole."""
+    or fails with the same error; a well-formed file with no areas, or whose areas are
+    clean grids of one shape, is never read whole."""
     data, well_formed = file
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "case.json"
         path.write_bytes(data)
         whole = _read_file(path, _whole_text)
         with mock.patch.object(gio, "_JSON_WINDOW", window):
-            assert _read_file(path) == whole
-            if well_formed and not isinstance(whole[0], type):
-                doc = json.loads(data, object_hook=functools.partial(gio._grid_hook, bools=True))
-                clean = gio._clean_grids(doc["areas"])
-                if clean is not None and clean[2] == (2, 3):
-                    assert gio._streamed_json(path) is not None
+            read, parses = _read_streamed(path)
+        assert read == whole
+        if well_formed:
+            doc = json.loads(data, object_hook=functools.partial(gio._grid_hook, bools=True))
+            if "areas" not in doc or gio._clean_grids(doc["areas"]) is not None:
+                assert parses == 0
 
 
 def test_a_value_cut_by_a_window_is_no_flaw(tmp_path):
@@ -862,8 +877,42 @@ def test_a_value_cut_by_a_window_is_no_flaw(tmp_path):
     whole = _read_file(path, _whole_text)
     for window in range(1, 201):
         with mock.patch.object(gio, "_JSON_WINDOW", window):
-            assert gio._streamed_json(path) is not None, window
-            assert _read_file(path) == whole
+            assert _read_streamed(path) == (whole, 0), window
+
+
+def _members_read_to_the_end(case: str) -> list:
+    """The members of a 60-area JSON document of 15 x 6 grids that the streamed reader
+    parses to its end but does not load as it stands."""
+    values = np.random.default_rng(4).uniform(-1e3, 1e3, (60, 15, 6))
+    doc = input_to_dict(make_input(values))
+    header = [("indices", doc["indices"]), ("periods", doc["periods"])]
+    if case == "shape":  # a 5-period header
+        return [header[0], ("periods", doc["periods"][:5]), ("areas", doc["areas"])]
+    if case == "repeated":  # the last "areas" and "source" count
+        return [("source", 1), ("areas", doc["areas"][30:]), *doc.items(), ("source", "b")]
+    return [*header, ("regions", doc["areas"])]  # no "areas"
+
+
+@pytest.mark.parametrize("case", ["shape", "repeated", "missing"])
+def test_a_json_file_read_to_its_end_is_never_read_whole(monkeypatch, tmp_path, case):
+    """A file of clean grids whose header has another shape, one with a repeated
+    top-level key, and one without "areas" are decided by the streamed read: each
+    loads, or fails, as its whole text does, with no whole-text parse."""
+    window = 4096
+    data = _file_bytes(_members_read_to_the_end(case))
+    assert len(data) >= 20 * window
+    path = tmp_path / "case.json"
+    path.write_bytes(data)
+    whole = _read_file(path, _whole_text)
+    monkeypatch.setattr(gio, "_JSON_WINDOW", window)
+    assert _read_streamed(path) == (whole, 0)
+    if case == "shape":
+        assert whole[0] is ValidationError
+        assert whole[1].count("expected 15x5 value matrix, got 15x6") == 60
+    elif case == "repeated":
+        assert whole[3] == tuple(f"area{k + 1}" for k in range(60))
+    else:
+        assert whole == (InputFormatError, "input: missing required field 'areas'")
 
 
 # A grid separator with the flaw that replaces it there: "Expecting value" (the C scanner's
