@@ -254,15 +254,23 @@ def _metadata(inp: AssessmentInput) -> dict:
     }
 
 
+def _fingerprint_metadata(inp: AssessmentInput) -> tuple:
+    """The metadata half of the fingerprint: a sha256 fed the canonical JSON of the
+    indices, periods, area names and shape, and the C-contiguous little-endian float64
+    raw scores whose bytes complete it."""
+    meta = {**_metadata(inp), "areas": inp.area_names, "shape": inp.values.shape}
+    digest = hashlib.sha256(json.dumps(meta, sort_keys=True, separators=(",", ":")).encode())
+    return digest, np.ascontiguousarray(inp.values, dtype="<f8")
+
+
 def compute_fingerprint(inp: AssessmentInput) -> str:
     """Content hash of the dataset, independent of file formatting.
 
     sha256 over the canonical JSON of the indices, periods, area names and
     shape, then over the little-endian float64 bytes of the raw scores.
     """
-    meta = {**_metadata(inp), "areas": inp.area_names, "shape": inp.values.shape}
-    digest = hashlib.sha256(json.dumps(meta, sort_keys=True, separators=(",", ":")).encode())
-    digest.update(np.ascontiguousarray(inp.values, dtype="<f8"))
+    digest, scores = _fingerprint_metadata(inp)
+    digest.update(scores)
     return digest.hexdigest()
 
 

@@ -38,8 +38,9 @@ from .ranking import (
 from .weighting import _weigh, _weight_grids
 
 MAX_REPORT_DECIMALS = 12  # the text report prints 0 to this many decimals
-# an input of more score cells than this is hashed on a worker thread while the run
-# goes on; in a fresh process that breaks even between 100 000 cells and this (README)
+# the score bytes of an input of more cells than this are hashed on a worker thread
+# while the run goes on; in a fresh process on two CPUs that breaks even near 100 000
+# cells (README)
 FINGERPRINT_THREAD_CELLS = 250_000
 
 
@@ -114,34 +115,6 @@ def _renormalized(weights: np.ndarray) -> tuple[np.ndarray, bool]:
     return weights, False
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-class _FingerprintWorker(threading.Thread):
-    """``compute_fingerprint(inp)`` on a thread of its own: sha256 releases the GIL."""
-
-    def __init__(self, inp: AssessmentInput):
-        super().__init__(name="greyrisk-fingerprint")
-        self._inp, self._value, self._error = inp, None, None
-
-    def run(self) -> None:
-        try:
-            self._value = gio.compute_fingerprint(self._inp)
-        except BaseException as exc:  # raised again on the caller by result()
-            self._error = exc
-
-    def result(self) -> str:
-        """Wait for the hash; return it, or raise what the hash raised."""
-        self.join()
-        if self._error is not None:
-            raise self._error
-        return self._value
-
-
 def run_assessment(inp: AssessmentInput, config: RunConfig | None = None) -> AssessmentReport:
     """Run the full assessment procedure and return a ranked report.
 
@@ -155,11 +128,12 @@ def run_assessment(inp: AssessmentInput, config: RunConfig | None = None) -> Ass
     differences and grey coefficients).
 
     The input's fingerprint is hashed first. When the input has more than
-    FINGERPRINT_THREAD_CELLS score cells and more than one CPU is usable, it is
-    hashed on one worker thread while the steps run instead, and joined before
-    the report is built, whether the steps succeed or raise. An error of the hash
-    is raised on the caller in place of any error of the steps, as when the hash
-    runs first. The report does not depend on where the hash ran.
+    FINGERPRINT_THREAD_CELLS score cells, the metadata is hashed on the caller
+    first and only the score bytes on one worker thread while the steps run; the
+    worker is joined before the report is built, whether the steps succeed or
+    raise. An error of the hash is raised on the caller in place of any error of
+    the steps, as when the hash runs first. The report does not depend on where
+    the hash ran.
 
     Memory: beside the input the run holds the (n, m-1, T-1) local volumes and one
     buffer of a block of areas. The run's plan is taken from the whole input; each
@@ -175,13 +149,25 @@ def run_assessment(inp: AssessmentInput, config: RunConfig | None = None) -> Ass
     config = config or RunConfig()
     t0 = time.perf_counter()
     trace = gio.TraceWriter(config.trace_dir, inp)
-    if inp.values.size > FINGERPRINT_THREAD_CELLS and _usable_cpus() > 1:
-        worker = _FingerprintWorker(inp)
+    if inp.values.size > FINGERPRINT_THREAD_CELLS:
+        digest, scores = gio._fingerprint_metadata(inp)
+        errors = []
+
+        def hash_scores():  # sha256 releases the GIL on buffers of this size
+            try:
+                digest.update(scores)
+            except BaseException as exc:  # raised on the caller after join()
+                errors.append(exc)
+
+        worker = threading.Thread(target=hash_scores, name="greyrisk-fingerprint")
         worker.start()
         try:
             result = _ranked(inp, config, trace)
         finally:
-            fingerprint = worker.result()
+            worker.join()
+            if errors:
+                raise errors[0]
+        fingerprint = digest.hexdigest()
     else:
         fingerprint = gio.compute_fingerprint(inp)
         result = _ranked(inp, config, trace)

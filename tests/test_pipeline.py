@@ -498,22 +498,50 @@ def test_blocked_run_gives_the_bits_of_the_whole_array_run(case, mode, block_cel
 
 @contextlib.contextmanager
 def _fingerprint_on_worker():
-    """Every input crosses the size rule, and two CPUs count as usable."""
-    with mock.patch.object(pipeline, "FINGERPRINT_THREAD_CELLS", -1), \
-            mock.patch.object(pipeline, "_usable_cpus", return_value=2):
+    """Every input crosses the size rule."""
+    with mock.patch.object(pipeline, "FINGERPRINT_THREAD_CELLS", -1):
+        yield
+
+
+class _StandInDigest:
+    """A sha256 whose ``update`` first calls ``on_update``."""
+
+    def __init__(self, digest, on_update):
+        self._digest, self._on_update = digest, on_update
+
+    def update(self, data):
+        self._on_update()
+        self._digest.update(data)
+
+    def hexdigest(self):
+        return self._digest.hexdigest()
+
+
+@contextlib.contextmanager
+def _metadata_half(on_update, on_metadata=lambda: None):
+    """Patch the fingerprint's metadata half to call ``on_metadata`` and hand out a
+    _StandInDigest."""
+    real = gio._fingerprint_metadata
+
+    def patched(inp):
+        on_metadata()
+        digest, scores = real(inp)
+        return _StandInDigest(digest, on_update), scores
+
+    with mock.patch.object(gio, "_fingerprint_metadata", patched):
         yield
 
 
 @contextlib.contextmanager
 def _hashing_threads():
-    """Record whether each fingerprint was hashed on the main thread."""
-    on_main, real = [], gio.compute_fingerprint
+    """Record, for each fingerprint, whether its metadata and then its score bytes were
+    hashed on the main thread."""
+    on_main = []
 
-    def recorded(inp):
-        on_main.append(threading.current_thread() is threading.main_thread())
-        return real(inp)
+    def record(part):
+        on_main.append((part, threading.current_thread() is threading.main_thread()))
 
-    with mock.patch.object(gio, "compute_fingerprint", recorded):
+    with _metadata_half(lambda: record("scores"), lambda: record("metadata")):
         yield on_main
 
 
@@ -532,7 +560,7 @@ def test_fingerprint_worker_changes_no_result_fingerprint_or_trace_byte(mode, tm
                                                for key in RESULT_COLUMNS]
             files = {p.name: p.read_bytes() for p in (tmp_path / side).iterdir()}
             runs.append((columns, report.fingerprint, files))
-    assert on_main == [True, False]
+    assert on_main == [("metadata", True), ("scores", True), ("metadata", True), ("scores", False)]
     assert runs[0] == runs[1]
     assert len(runs[0][2]) == 4 + 6 * 7
 
@@ -548,15 +576,19 @@ def _outcome(call):
 def test_fingerprint_error_reaches_the_caller_on_both_sides_of_the_rule(
         error, bundled_input, degenerate_input, capsys):
     """The same exception type from run_assessment and the same CLI exit code (OSError
-    exits 2; a RuntimeError leaves main). A hash error comes before a degenerate step's,
-    as when the hash runs first."""
+    exits 2; a RuntimeError leaves main), whether the metadata half or the hash of the
+    score bytes raises. A hash error comes before a degenerate step's, as when the hash
+    runs first."""
     outcomes = []
-    for rule in (contextlib.nullcontext(), _fingerprint_on_worker()):
-        with rule, mock.patch.object(gio, "compute_fingerprint", side_effect=error("hash")):
-            outcomes.append((_outcome(lambda: run_assessment(bundled_input)),
-                             _outcome(lambda: run_assessment(degenerate_input)),
-                             _outcome(lambda: cli.main(["demo"]))))
-    assert outcomes[0] == outcomes[1] == (error, error, 2 if error is OSError else error)
+    for rule in (contextlib.nullcontext, _fingerprint_on_worker):
+        for failing in (lambda: mock.patch.object(gio, "_fingerprint_metadata",
+                                                  side_effect=error("metadata")),
+                        lambda: _metadata_half(mock.Mock(side_effect=error("scores")))):
+            with rule(), failing():
+                outcomes.append((_outcome(lambda: run_assessment(bundled_input)),
+                                 _outcome(lambda: run_assessment(degenerate_input)),
+                                 _outcome(lambda: cli.main(["demo"]))))
+    assert outcomes == [(error, error, 2 if error is OSError else error)] * 4
     capsys.readouterr()
 
 
@@ -569,7 +601,28 @@ def test_worker_thread_is_joined_after_a_run_and_after_a_degenerate_one(
         with pytest.raises(DegenerateAssessmentError):
             run_assessment(degenerate_input)
         assert threading.active_count() == before
-    assert on_main == [False, False]
+    assert on_main == [("metadata", True), ("scores", False)] * 2
+
+
+def test_worker_thread_enters_no_function_but_the_closure_that_hashes_the_scores(
+        bundled_input):
+    """The metadata is hashed on the caller: the only Python function that the worker
+    enters outside threading.py is a closure of pipeline.py, so no io.py, json or
+    module-level pipeline.py function."""
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename != threading.__file__:
+            entered.add(frame.f_code)
+
+    threading.setprofile(profile)
+    try:
+        with _fingerprint_on_worker():
+            run_assessment(bundled_input)
+    finally:
+        threading.setprofile(None)
+    assert [(c.co_filename, c.co_name, bool(c.co_freevars)) for c in entered] == [
+        (pipeline.__file__, "hash_scores", True)]
 
 
 def test_worker_hash_under_a_short_switch_interval():
