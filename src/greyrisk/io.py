@@ -30,10 +30,12 @@ npy-bundle      a directory with meta.json, the json document without the
                 the (n, m, T) float64 scores as np.save writes them. The
                 scores are read as a read-only map of the file, which the
                 input holds without a copy; the file must not be rewritten
-                while the input is in use.
+                while the input is in use. A Fortran-ordered or
+                non-native-endian array is copied into a C-ordered native one.
 
 Values are laid out row = index, column = period throughout. Each loader hands
-the score array it built to the AssessmentInput, which holds it without a copy.
+the score array it built, for an npy bundle the map, to the AssessmentInput as a
+``_Built``, which the input holds without a copy; it copies any other array.
 """
 
 from __future__ import annotations
@@ -481,16 +483,18 @@ class _JsonWindows:
         after it, the last separator and the index after it; the scanner's error for
         none."""
         # An area is an object, which ends in "}", so the text up to its last "}" is
-        # most often whole areas, parsed here in one call; where it parses as an array,
-        # it ends where an area ends. Otherwise the areas are parsed one at a time.
+        # most often whole areas, parsed here in one call. Where they parse as an array,
+        # it ends where an area ends, or at the areas' own "]" where that closes them
+        # first; either way the array's "]", chunk[end - 1], stands for text[pos + end - 2].
+        # An empty array, and text that does not parse, are parsed one area at a time.
         cut = text.rfind("}", pos) + 1
         if not cut:
             raise ValueError(f"no whole area at {pos}")
         chunk = f"[{text[pos:cut]}]"
         try:
             batch, end = self.scan(chunk, 0)
-            if end == len(chunk):
-                separator, after = _token(text, cut, ",]")
+            if batch:
+                separator, after = _token(text, pos + end - 2, ",]")
                 return (batch, separator), after
         except (ValueError, StopIteration):
             pass
@@ -655,7 +659,8 @@ def _load_npy_bundle(root: Path) -> AssessmentInput:
             f"{values_path}: shape {values.shape} does not match meta.json's "
             f"{shape[0]} areas x {shape[1]} indices x {shape[2]} periods"
         )
-    return AssessmentInput(indices, labels, time_weights, names, values)
+    values = np.ascontiguousarray(values, dtype=float)  # a view of a C-ordered native map
+    return AssessmentInput(indices, labels, time_weights, names, _Built(values))
 
 
 _LOADERS = {"json": _load_json, "csv-bundle": _load_csv_bundle, "npy-bundle": _load_npy_bundle}
@@ -664,7 +669,8 @@ INPUT_FORMATS = tuple(_LOADERS)
 
 def load_input(path, fmt: str | None = None) -> AssessmentInput:
     """Parse a dataset file (json) or directory (csv-bundle, npy-bundle) into a validated
-    input, which holds the score array the loader built, or the npy map, without a copy.
+    input, which holds the score array the loader built without a copy: for an npy
+    bundle, the read-only map of its values.npy.
 
     With no ``fmt``, a directory holding values.npy is read as an npy bundle, any
     other directory as a csv bundle, and a file as json. Parse problems, text that is

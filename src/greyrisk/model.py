@@ -78,9 +78,10 @@ class AssessmentInput:
     vectors are kept as given; renormalization to an exact unit sum happens at
     run time and is recorded in the report's config echo.
 
-    ``values`` is held as a read-only C-ordered float64 array: the given array
-    itself when nobody can make it writable (a read-only file map), else a copy.
-    Validation records each index's extrema on the input as ``_extrema``.
+    ``values`` is held as a read-only C-ordered float64 array: the array a loader
+    built (``_Built``) itself, and a copy of any other array, so changing the array
+    a caller passed never changes the input. Validation records each index's extrema
+    on the input as ``_extrema``.
     """
 
     indices: tuple[IndexDefinition, ...]
@@ -97,9 +98,9 @@ class AssessmentInput:
         values = self.values
         if type(values) is _Built:
             values = values.array
-        elif not _never_writable(values):
+        else:
             values = np.array(values, dtype=float, order="C")
-        object.__setattr__(self, "values", _read_only(np.asarray(values)))
+        object.__setattr__(self, "values", _read_only(values))
         validate_input(self)
 
     @property
@@ -108,8 +109,9 @@ class AssessmentInput:
 
 
 class _Built:
-    """The (n, m, T) float64 array a loader built for one input and holds no other
-    reference to: the input takes the array itself instead of a copy."""
+    """The C-ordered (n, m, T) float64 array a loader built for one input and holds no
+    other reference to, or an npy bundle's read-only map: the input takes the array
+    itself instead of a copy."""
 
     __slots__ = ("array",)
 
@@ -120,28 +122,6 @@ class _Built:
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
-
-
-def _never_writable(values) -> bool:
-    """Whether ``values`` is a C-ordered float64 array that nobody can make writable.
-
-    That holds when no array on its chain of bases is writable or owns its memory (its
-    owner could set it writable again) and the chain ends in an object whose buffer is
-    read-only, as the map of a file opened for reading is.
-    """
-    if not (isinstance(values, np.ndarray) and values.dtype == np.dtype(float)
-            and values.flags.c_contiguous):
-        return False
-    base = values
-    while isinstance(base, np.ndarray):
-        if base.flags.writeable or base.flags.owndata or base.base is None:
-            return False
-        base = base.base
-    try:
-        with memoryview(base) as view:
-            return view.readonly
-    except TypeError:  # no buffer to ask
-        return False
 
 
 def _check_orientation(d: IndexDefinition, errors: list[str]) -> None:

@@ -618,14 +618,20 @@ _JSON_META = {
     "periods": [{"label": f"t{t}", "weight": 1 / 3} for t in range(3)],
 }
 _NUMBERS = st.one_of(st.floats(), st.integers(-2**70, 2**70))
-_ODD_CELLS = st.sampled_from([2**53 + 1, 10**400, -10**400, True, False, "0.5", "1", "x", None,
-                              [0.5], [], {}])
-_ODD_ROWS = st.one_of(st.lists(_NUMBERS, max_size=4), st.sampled_from([None, "x", 0.5, {}]))
+
+
+def _odd(values):
+    """One of ``values``, copied: a later edit of a drawn area may write into it."""
+    return st.sampled_from(values).map(copy.deepcopy)
+
+
+_ODD_CELLS = _odd([2**53 + 1, 10**400, -10**400, True, False, "0.5", "1", "x", None,
+                   [0.5], [], {}])
+_ODD_ROWS = st.one_of(st.lists(_NUMBERS, max_size=4), _odd([None, "x", 0.5, {}]))
 _ODD_GRIDS = st.one_of(st.lists(st.lists(_NUMBERS, min_size=3, max_size=3), max_size=3),
-                       st.sampled_from([None, "x", 0.5, [1.0, 2.0, 3.0], {}]))
-_ODD_ENTRIES = st.sampled_from([None, "x", [], [[1.0] * 3] * 2, {"name": "x"},
-                                {"values": [[1.0] * 3] * 2}])
-_ODD_NAMES = st.sampled_from([None, 1, 0.5, True, ["a"], {}])
+                       _odd([None, "x", 0.5, [1.0, 2.0, 3.0], {}]))
+_ODD_ENTRIES = _odd([None, "x", [], [[1.0] * 3] * 2, {"name": "x"}, {"values": [[1.0] * 3] * 2}])
+_ODD_NAMES = _odd([None, 1, 0.5, True, ["a"], {}])
 
 
 @st.composite
@@ -756,6 +762,25 @@ def test_clean_json_files_of_every_size_are_never_read_whole(monkeypatch, tmp_pa
         load_input(path)
 
 
+@pytest.mark.parametrize("after", [{}, {"description": "x"}], ids=["areas-last", "member-after"])
+def test_a_file_of_many_windows_converts_each_grid_once(monkeypatch, tmp_path, after):
+    """The last window's areas, closed by the areas' own "]", are parsed in one call."""
+    converted, grid_hook = [], gio._grid_hook
+
+    def hook(obj, bools=False):
+        obj = grid_hook(obj, bools)
+        converted.append(isinstance(obj.get("values"), np.ndarray))
+        return obj
+
+    monkeypatch.setattr(gio, "_grid_hook", hook)
+    values = np.random.default_rng(7).uniform(-1e3, 1e3, (300, 15, 6))
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps({**input_to_dict(make_input(values)), **after}))
+    assert path.stat().st_size > 4 * gio._JSON_WINDOW
+    np.testing.assert_array_equal(load_input(path).values, values)
+    assert sum(converted) == len(values)
+
+
 def _file_bytes(members, ensure_ascii=True, indent=None) -> bytes:
     """A JSON object of the (key, value) ``members`` in order, duplicates kept, as UTF-8."""
     dumps = functools.partial(json.dumps, ensure_ascii=ensure_ascii, indent=indent)
@@ -774,10 +799,10 @@ def _json_files(draw):
         if isinstance(area, dict) and draw(st.booleans()):
             if "name" in area and draw(st.booleans()):  # UTF-8 bytes that straddle windows
                 area["name"] = draw(st.text("aé北\U0001f30d", min_size=1, max_size=4))
-            note = draw(st.sampled_from([1.5, "true", None, [[1.0]], {"values": [[1, 2, 3]]}]))
+            note = draw(_odd([1.5, "true", None, [[1.0]], {"values": [[1, 2, 3]]}]))
             areas[k] = {"note": note, **area} if draw(st.booleans()) else {**area, "note": note}
     extras = draw(st.lists(st.tuples(st.sampled_from(["description", "version", "source"]),
-                                     st.one_of(_FILE_NUMBERS, st.sampled_from(
+                                     st.one_of(_FILE_NUMBERS, _odd(
                                          ["no false alarms", "é北", [1, 2], {}]))),
                            max_size=2, unique_by=lambda member: member[0]))
     members = draw(st.permutations([*_JSON_META.items(), ("areas", areas), *extras]))
@@ -843,6 +868,7 @@ _CLEAN_AREAS = [{"name": "a", "values": [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]},
 @example((_file_bytes([("areas", _CLEAN_AREAS[:1]), *_JSON_META.items(),
                        ("areas", _CLEAN_AREAS)]), True), 3)
 @example((_file_bytes([*_JSON_META.items(), ("regions", _CLEAN_AREAS)]), True), 5)
+@example((_file_bytes([("areas", []), *_JSON_META.items()]), True), 8)  # an empty batch
 @example((_file_bytes([("indices", [{**_JSON_META["indices"][0], "weight": {"values": [[1, 2]]}},
                                     _JSON_META["indices"][1]]),  # its repr is in the message
                        ("periods", _JSON_META["periods"]), ("areas", _CLEAN_AREAS)]), True), 64)
