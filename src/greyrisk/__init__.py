@@ -7,10 +7,9 @@ and seven-grade risk classification.
 """
 
 from ._meta import VERSION as __version__
-from .incidence import ZeroingMode, incidence_degrees, local_volume, zeroing_image
+from .incidence import ZeroingMode, local_volume, zeroing_image
 from .io import InputFormatError, load_input
 from .model import AssessmentInput, IndexDefinition, Orientation, ValidationError
-from .normalize import standardize_all
 from .pipeline import RunConfig, run_assessment
 from .ranking import (
     DegenerateAssessmentError,
@@ -19,7 +18,6 @@ from .ranking import (
     rank_areas,
     superiority_degree,
 )
-from .weighting import apply_weights, negative_ideal, positive_ideal
 
 __all__ = [
     "__version__",
@@ -32,16 +30,11 @@ __all__ = [
     "RunConfig",
     "ValidationError",
     "ZeroingMode",
-    "apply_weights",
     "classify",
-    "incidence_degrees",
     "load_input",
     "local_volume",
-    "negative_ideal",
-    "positive_ideal",
     "rank_areas",
     "run_assessment",
-    "standardize_all",
     "superiority_degree",
     "zeroing_image",
 ]

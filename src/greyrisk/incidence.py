@@ -116,31 +116,6 @@ def grey_coefficients(
     return np.divide(g, d_max - d_min, out=g)
 
 
-def incidence_degrees(
-    reference_volume: np.ndarray, volumes: np.ndarray
-) -> tuple[float, float, np.ndarray]:
-    """(d_max, d_min, degrees) of every area against the reference, with no D held whole.
-
-    ``volumes`` is the (n, m-1, T-1) local volume array of all areas and
-    ``reference_volume`` the (m-1, T-1) local volumes of the reference. The extreme
-    absolute differences d_max and d_min are taken jointly over all areas, so the
-    grey coefficients of different areas are on a common scale.
-
-    Two passes over the blocks of areas: the first folds d_max and d_min, the second
-    averages each area's grey coefficients. Max and min are exact, so the result
-    does not depend on where the blocks end.
-    """
-    reference_volume = np.asarray(reference_volume, dtype=float)
-    volumes = np.asarray(volumes, dtype=float)
-    if volumes.shape[1:] != reference_volume.shape:
-        raise ValueError(
-            f"shape mismatch: volumes {volumes.shape} vs reference {reference_volume.shape}")
-    if len(volumes) == 0:
-        raise ValueError("at least one area required")
-    (d_max,), (d_min,), (degrees,) = _degrees(reference_volume[None], volumes)
-    return d_max, d_min, degrees
-
-
 def _degrees(references: np.ndarray, volumes: np.ndarray,
              record=lambda symbol, family, first, x: None) -> tuple[list, list, np.ndarray]:
     """(d_max list, d_min list, (families, n) degrees) of the (n, m-1, T-1) ``volumes``

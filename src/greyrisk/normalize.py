@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .model import IndexDefinition, OrientationKind, index_extrema
+from .model import IndexDefinition, OrientationKind
 
 
 def _median_and_max_dev(a: np.ndarray) -> tuple[np.ndarray, float]:
@@ -154,12 +154,3 @@ def standardize(
         np.copyto(x, operands.fill, where=operands.filled)
     return x
 
-
-def standardize_all(values: np.ndarray, indices: Sequence[IndexDefinition]) -> np.ndarray:
-    """Standardize raw scores of shape (n, m, T) into a new float64 array.
-
-    The operands are taken over the whole array (``standardization``) and applied to
-    it as one block (``standardize``), as ``run_assessment`` applies them block by block.
-    """
-    values = np.asarray(values, dtype=float)
-    return standardize(values, standardization(values, indices, index_extrema(values)))

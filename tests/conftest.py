@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from greyrisk import AssessmentInput, IndexDefinition, Orientation, standardize_all
+from greyrisk import AssessmentInput, IndexDefinition, Orientation, normalize
 from greyrisk.io import _ROW_FIELDS, _input_fields, _metadata, _rows
+from greyrisk.model import index_extrema
 from greyrisk.pipeline import load_bundled_case
 
 
@@ -48,8 +49,10 @@ def make_input(matrices, index_weights=None, time_weights=None, orientations=Non
 
 
 def standardized(inp):
-    """Standardized (n, m, T) scores of an input's areas."""
-    return standardize_all(inp.values.copy(), inp.indices)
+    """Standardized (n, m, T) scores of an input's areas, with the run's operands taken
+    over all of them."""
+    x = inp.values
+    return normalize.standardize(x, normalize.standardization(x, inp.indices, index_extrema(x)))
 
 
 def input_to_dict(inp):

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from greyrisk import ZeroingMode, apply_weights, incidence
+from greyrisk import ZeroingMode, incidence
 from greyrisk.model import AssessmentInput, IndexDefinition, OrientationKind, index_extrema
 from greyrisk.normalize import _median_and_max_dev
 from greyrisk.ranking import RISK_THRESHOLDS, DegenerateAssessmentError, RiskLevel
@@ -344,10 +344,9 @@ def local_volumes_in_place(z: np.ndarray, mode: ZeroingMode) -> np.ndarray:
 
 def whole_array_run(values, indices, lam, theta, mode: ZeroingMode):
     """(c_pos, c_neg, volumes, [(d_max, d_min, degrees) toward each ideal]) of one
-    working array: standardized, weighted in place, reduced to both ideals, then
-    re-based with its local volumes written over its front."""
-    x = standardize_whole(values, indices)
-    apply_weights(x, lam, theta, out=x)
+    working array: standardized, weighted, reduced to both ideals, then re-based with
+    its local volumes written over its front."""
+    x = weigh_by_broadcast(standardize_whole(values, indices), lam, theta)
     c_pos, c_neg = np.max(x, axis=0), np.min(x, axis=0)
     vol = local_volumes_in_place(x, mode)
     families = [one_shot_degrees(strided_local_volume(incidence.zeroing_image(c, mode)), vol)

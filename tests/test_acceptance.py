@@ -23,8 +23,6 @@ from greyrisk import (
     classify,
     load_input,
     local_volume,
-    negative_ideal,
-    positive_ideal,
     run_assessment,
     superiority_degree,
 )
@@ -34,6 +32,7 @@ from greyrisk.pipeline import load_bundled_case
 from conftest import input_to_dict, input_to_json, make_input, standardized
 from oracle import objective_H
 from test_incidence import family, volume_by_integration
+from test_weighting import weighted_and_ideals
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -143,8 +142,8 @@ def test_criterion_5_property_suites():
 
         # ideal dominance
         for _ in range(40):
-            cs = rng.uniform(0.0, 1.0, (4, 4, 3))
-            pos, neg = positive_ideal(cs), negative_ideal(cs)
+            cs, pos, neg = weighted_and_ideals(rng.uniform(0.0, 1.0, (4, 4, 3)),
+                                               rng.uniform(0.1, 1.0, 4), rng.uniform(0.1, 1.0, 3))
             for c in cs:
                 assert (neg <= c).all() and (c <= pos).all()
 

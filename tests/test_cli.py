@@ -2,6 +2,7 @@ import contextlib
 import copy
 import csv
 import importlib.metadata
+import inspect
 import io
 import json
 import os
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import greyrisk
 from greyrisk.cli import main
 from greyrisk.pipeline import load_bundled_case
 
@@ -96,6 +98,34 @@ def test_demo_trace_dir(tmp_path, capsys):
     trace_dir = tmp_path / "trace"
     assert main(["demo", "--trace-dir", str(trace_dir)]) == 0
     assert len(list(trace_dir.glob("*.csv"))) == 22
+
+
+def test_demo_enters_every_public_function(capsys):
+    """Each function that ``greyrisk.__all__`` names is one a run calls: the demo enters it."""
+    assert greyrisk.__all__ == [
+        "__version__", "AssessmentInput", "DegenerateAssessmentError", "IndexDefinition",
+        "InputFormatError", "Orientation", "RiskLevel", "RunConfig", "ValidationError",
+        "ZeroingMode", "classify", "load_input", "local_volume", "rank_areas",
+        "run_assessment", "superiority_degree", "zeroing_image",
+    ]
+    functions = {getattr(greyrisk, name).__code__: name for name in greyrisk.__all__
+                 if inspect.isfunction(getattr(greyrisk, name))}
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        assert main(["demo"]) == 0
+    finally:
+        sys.setprofile(previous)
+    assert sorted(functions.values()) == ["classify", "load_input", "local_volume",
+                                          "rank_areas", "run_assessment",
+                                          "superiority_degree", "zeroing_image"]
+    assert [name for code, name in functions.items() if code not in entered] == []
 
 
 def test_validate_ok(case_json, capsys):
@@ -366,7 +396,6 @@ def test_assess_frees_its_input_before_rendering(case_json, monkeypatch, capsys)
 
 def test_assess_takes_each_index_extrema_once(case_json, monkeypatch, capsys):
     import greyrisk.model as model
-    import greyrisk.normalize as normalize
 
     calls = []
 
@@ -376,7 +405,6 @@ def test_assess_takes_each_index_extrema_once(case_json, monkeypatch, capsys):
 
     model_index_extrema = model.index_extrema
     monkeypatch.setattr(model, "index_extrema", counted)
-    monkeypatch.setattr(normalize, "index_extrema", counted)
     assert main(["assess", "--input", str(case_json)]) == 0
     assert calls == [(3, 15, 6)]
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greyrisk import IndexDefinition, Orientation, standardize_all
+from greyrisk import IndexDefinition, Orientation, normalize
+from greyrisk.model import index_extrema
 
 import oracle
 from conftest import make_input, standardized
@@ -14,7 +16,9 @@ from conftest import make_input, standardized
 def std(rows, orientation=Orientation.benefit()):
     """Standardize a single index given as per-area rows (n x T)."""
     x = np.array(rows, dtype=float)[:, None, :]
-    return standardize_all(x, [IndexDefinition("x", "x", orientation, 1.0)])[:, 0, :]
+    indices = [IndexDefinition("x", "x", orientation, 1.0)]
+    operands = normalize.standardization(x, indices, index_extrema(x))
+    return normalize.standardize(x, operands)[:, 0, :]
 
 
 class TestComputeExtrema:
@@ -136,10 +140,13 @@ class TestStandardizeAll:
         assert standardized(bundled_input).shape == (3, 15, 6)
 
     def test_integer_scores_are_converted_not_truncated(self):
-        x = np.array([[[1, 3]], [[2, 5]]])
-        b = standardize_all(x, [IndexDefinition("x", "x", Orientation.benefit(), 1.0)])
-        np.testing.assert_array_equal(b, [[[0.0, 0.5]], [[0.25, 1.0]]])
-        np.testing.assert_array_equal(x, [[[1, 3]], [[2, 5]]])
+        """An input built from integer scores holds them as float64 (``AssessmentInput``)."""
+        x = np.array([[[1, 3], [0, 1]], [[2, 5], [1, 0]]])
+        inp = dataclasses.replace(make_input(x), values=x)
+        assert inp.values.dtype == np.float64
+        np.testing.assert_array_equal(standardized(inp),
+                                      [[[0.0, 0.5], [0.0, 1.0]], [[0.25, 1.0], [1.0, 0.0]]])
+        np.testing.assert_array_equal(x, [[[1, 3], [0, 1]], [[2, 5], [1, 0]]])
 
     def test_float64_argument_is_left_unchanged(self, bundled_input):
         """The result is a new array and a float64 argument keeps its bytes."""
@@ -153,7 +160,8 @@ class TestStandardizeAll:
         ]
         for inp, digest in digests:
             x = inp.values.copy()
-            b = standardize_all(x, inp.indices)
+            b = normalize.standardize(x, normalize.standardization(x, inp.indices,
+                                                                   index_extrema(x)))
             assert not np.shares_memory(b, x)
             assert x.tobytes() == inp.values.tobytes()
             assert hashlib.sha256(b.tobytes()).hexdigest() == digest

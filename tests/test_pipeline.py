@@ -21,13 +21,13 @@ from greyrisk import (
     RiskLevel,
     RunConfig,
     ZeroingMode,
-    apply_weights,
     cli,
     incidence,
     local_volume,
+    normalize,
     pipeline,
     run_assessment,
-    standardize_all,
+    weighting,
     zeroing_image,
 )
 from greyrisk import io as gio
@@ -452,10 +452,12 @@ def test_stages_give_the_bits_of_their_whole_array_forms(case, mode, block_cells
     the plainer form they replaced (``oracle``)."""
     values, indices, lam, theta = case
     expected = oracle.standardize_by_row(values, indices)
-    x = standardize_all(values, indices)
+    x = normalize.standardize(values, normalize.standardization(values, indices,
+                                                                index_extrema(values)))
     assert x.tobytes() == expected.tobytes()
     expected = oracle.weigh_by_broadcast(expected, lam, theta)
-    assert apply_weights(x, lam, theta, out=x).tobytes() == expected.tobytes()
+    assert weighting._weigh(x, *weighting._weight_grids(lam, theta), out=x).tobytes() == \
+        expected.tobytes()
     with mock.patch.object(incidence, "BLOCK_CELLS", block_cells or incidence.BLOCK_CELLS):
         _, _, vol, _ = _blocked_run(values, indices, lam, theta, mode)
     assert vol.tobytes() == oracle.rebased_volumes(expected, mode).tobytes()

@@ -4,33 +4,55 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from greyrisk import apply_weights, negative_ideal, positive_ideal
+from greyrisk import IndexDefinition, Orientation, ZeroingMode, normalize, pipeline, weighting
+from greyrisk import io as gio
+from greyrisk.model import index_extrema
+
+
+def weigh(b, index_weights, time_weights, out=None):
+    """Scores whose last two axes are (m, T) weighted as the run weighs each block."""
+    lam, theta = np.asarray(index_weights, dtype=float), np.asarray(time_weights, dtype=float)
+    return weighting._weigh(b, *weighting._weight_grids(lam, theta), out=out)
+
+
+def weighted_and_ideals(mats, lam=None, theta=None):
+    """(weighted scores, positive ideal, negative ideal) of raw (n, m, T) benefit scores,
+    the ideals as the run folds them; unit weights by default, which leave the weighted
+    scores the standardized ones."""
+    values = np.asarray(mats, dtype=float)
+    n, m, T = values.shape
+    lam = np.ones(m) if lam is None else lam
+    theta = np.ones(T) if theta is None else theta
+    indices = [IndexDefinition(f"e{j}", f"e{j}", Orientation.benefit(), 1.0) for j in range(m)]
+    extrema = index_extrema(values)
+    c = weigh(normalize.standardize(values, normalize.standardization(values, indices, extrema)),
+              lam, theta)
+    c_pos, c_neg, _ = pipeline._ideals_and_volumes(values, indices, lam, theta,
+                                                   ZeroingMode.FIRST_COLUMN,
+                                                   gio.TraceWriter(None, None), extrema)
+    return c, c_pos, c_neg
 
 
 class TestApplyWeights:
     def test_identity_weights(self):
         b = np.array([[0.2, 0.8], [0.5, 0.1]])
-        np.testing.assert_array_equal(apply_weights(b, [1.0, 1.0], [1.0, 1.0]), b)
+        np.testing.assert_array_equal(weigh(b, [1.0, 1.0], [1.0, 1.0]), b)
 
     def test_zero_cells_annihilate(self):
         b = np.array([[0.0, 0.8], [0.5, 0.0]])
-        c = apply_weights(b, [0.3, 0.7], [0.4, 0.6])
+        c = weigh(b, [0.3, 0.7], [0.4, 0.6])
         assert c[0, 0] == 0.0 and c[1, 1] == 0.0
 
     def test_case_dataset_cell(self):
         # first index of the bundled case's third area at the first period
-        c = apply_weights(np.array([[2.0 / 3.0]]), [0.1458], [0.21])
+        c = weigh(np.array([[2.0 / 3.0]]), [0.1458], [0.21])
         assert c[0, 0] == pytest.approx(0.020412, rel=1e-9)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            apply_weights(np.zeros((2, 3)), [0.5, 0.5], [0.5, 0.5])
 
     def test_weights_broadcast_over_areas(self):
         b = np.stack(FIXTURE)
-        c = apply_weights(b, [0.3, 0.7], [0.4, 0.6])
+        c = weigh(b, [0.3, 0.7], [0.4, 0.6])
         for bk, ck in zip(b, c):
-            np.testing.assert_array_equal(ck, apply_weights(bk, [0.3, 0.7], [0.4, 0.6]))
+            np.testing.assert_array_equal(ck, weigh(bk, [0.3, 0.7], [0.4, 0.6]))
 
 
 @given(arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 5), st.integers(1, 5)),
@@ -40,9 +62,9 @@ def test_weighting_in_place_keeps_the_product_order(b):
     n, m, t = b.shape
     lam, theta = np.linspace(0.1, 0.9, m), np.linspace(0.3, 0.7, t)
     expected = (lam[:, None] * b) * theta
-    assert apply_weights(b, lam, theta).tobytes() == expected.tobytes()
+    assert weigh(b, lam, theta).tobytes() == expected.tobytes()
     work = b.copy()
-    assert apply_weights(work, lam, theta, out=work) is work
+    assert weigh(work, lam, theta, out=work) is work
     assert work.tobytes() == expected.tobytes()
 
 
@@ -54,30 +76,26 @@ FIXTURE = [
 
 
 class TestIdealMatrices:
+    """The ideals of FIXTURE's scores, standardized per index: (a - 0) / 5 and (a - 1) / 3."""
+
     def test_positive_elementwise_max(self):
-        np.testing.assert_array_equal(positive_ideal(FIXTURE), [[2.0, 5.0], [4.0, 4.0]])
+        c, c_pos, _ = weighted_and_ideals(FIXTURE)
+        np.testing.assert_array_equal(c_pos, [[0.4, 1.0], [1.0, 1.0]])
+        np.testing.assert_array_equal(c_pos, c.max(axis=0))
 
     def test_negative_elementwise_min(self):
-        np.testing.assert_array_equal(negative_ideal(FIXTURE), [[0.0, 1.0], [1.0, 2.0]])
+        c, _, c_neg = weighted_and_ideals(FIXTURE)
+        np.testing.assert_array_equal(c_neg, [[0.0, 0.2], [0.0, 1.0 / 3.0]])
+        np.testing.assert_array_equal(c_neg, c.min(axis=0))
 
     def test_idempotent_on_identical_matrices(self):
-        same = [FIXTURE[0], FIXTURE[0].copy()]
-        np.testing.assert_array_equal(positive_ideal(same), FIXTURE[0])
-        np.testing.assert_array_equal(negative_ideal(same), FIXTURE[0])
+        c, c_pos, c_neg = weighted_and_ideals([FIXTURE[0], FIXTURE[0].copy()])
+        np.testing.assert_array_equal(c_pos, c[0])
+        np.testing.assert_array_equal(c_neg, c[0])
 
     def test_negative_below_positive(self):
-        assert (negative_ideal(FIXTURE) <= positive_ideal(FIXTURE)).all()
-
-    def test_empty_family_rejected(self):
-        with pytest.raises(ValueError, match="zero-size"):
-            positive_ideal(np.zeros((0, 2, 2)))
-        with pytest.raises(ValueError, match="zero-size"):
-            negative_ideal(np.zeros((0, 2, 2)))
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            positive_ideal([np.zeros((2, 2)), np.zeros((2, 3))])
-
+        _, c_pos, c_neg = weighted_and_ideals(FIXTURE)
+        assert (c_neg <= c_pos).all()
 
 
 # --- property tests -------------------------------------------------------
@@ -95,9 +113,10 @@ unit_matrices = st.integers(min_value=2, max_value=5).flatmap(
 @given(unit_matrices)
 @settings(max_examples=60, deadline=None)
 def test_ideal_dominance_and_tightness(mats):
-    pos, neg = positive_ideal(mats), negative_ideal(mats)
-    stacked = np.stack(mats)
-    for c in mats:
+    m, t = mats[0].shape
+    stacked, pos, neg = weighted_and_ideals(mats, np.linspace(0.1, 0.9, m),
+                                            np.linspace(0.3, 0.7, t))
+    for c in stacked:
         assert (neg <= c).all() and (c <= pos).all()
     # every ideal cell is realized by at least one family member
     assert (stacked == pos[None]).any(axis=0).all()
@@ -109,14 +128,14 @@ def test_ideal_dominance_and_tightness(mats):
     st.floats(min_value=0, max_value=10, allow_nan=False),
 )
 @settings(max_examples=40, deadline=None)
-def test_apply_weights_linear_in_matrix(mats, alpha):
+def test_weighting_linear_in_matrix(mats, alpha):
     b = mats[0]
     m, t = b.shape
     lam = np.linspace(0.1, 1.0, m)
     theta = np.linspace(0.1, 1.0, t)
     np.testing.assert_allclose(
-        apply_weights(alpha * b, lam, theta),
-        alpha * apply_weights(b, lam, theta),
+        weigh(alpha * b, lam, theta),
+        alpha * weigh(b, lam, theta),
         atol=1e-12,
     )
 
@@ -128,7 +147,7 @@ def test_weighted_entries_bounded_by_weight_product(mats):
     m, t = b.shape
     lam = np.linspace(0.05, 0.9, m)
     theta = np.linspace(0.05, 0.9, t)
-    c = apply_weights(b, lam, theta)
+    c = weigh(b, lam, theta)
     bound = lam[:, None] * theta[None, :]
     assert (c >= 0.0).all()
     assert (c <= bound + 1e-15).all()
