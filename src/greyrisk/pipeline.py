@@ -11,7 +11,6 @@ import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import NamedTuple
 from importlib import resources
 
 import numpy as np
@@ -27,7 +26,7 @@ from .incidence import (
     zeroing_image,
 )
 from .model import AssessmentInput
-from .normalize import Standardization, standardization, standardize
+from .normalize import standardization, standardize
 from .ranking import (
     DegenerateAssessmentError,
     RiskLevel,
@@ -136,9 +135,9 @@ def run_assessment(inp: AssessmentInput, config: RunConfig | None = None) -> Ass
     the hash ran.
 
     Memory: beside the input the run holds the (n, m-1, T-1) local volumes and one
-    buffer of a block of areas. The run's plan is taken from the whole input; each
-    block is then standardized and weighted in the buffer, folded into both ideals,
-    re-based in place, and its local volumes written into their array from flat
+    buffer of a block of areas. Each block is standardized and weighted in the buffer,
+    with operands and weight grids taken once from the whole input, folded into both
+    ideals, re-based in place, and its local volumes written into their array from flat
     shifted slices of the block, with one flat temporary. Incidence toward both ideals
     takes one pair of passes over blocks of those volumes, so no array of volume
     differences is held whole, and the traced differences and coefficients are written
@@ -225,61 +224,37 @@ def _ranked(inp: AssessmentInput, config: RunConfig, trace: gio.TraceWriter) -> 
         s[order], rank[order], classify(s[order]), tied[order], echo)
 
 
-class _RunPlan(NamedTuple):
-    """What each block of one run's areas is made with, taken once per run."""
-
-    operands: Standardization
-    lam: np.ndarray  # both weights as (m, T) _weight_grids
-    theta: np.ndarray
-    mode: ZeroingMode
-    step: int  # areas per block, by incidence.BLOCK_CELLS as the run starts
-
-
-def _run_plan(values, indices, lam, theta, mode: ZeroingMode, extrema: tuple) -> _RunPlan:
-    """The plan of a run on raw (n, m, T) ``values`` with their index ``extrema``."""
-    return _RunPlan(standardization(values, indices, extrema), *_weight_grids(lam, theta),
-                    mode, _block_step(values.shape[1] * values.shape[2]))
-
-
-def _block_pass(plan: _RunPlan, a: np.ndarray, buffer: np.ndarray, out: np.ndarray,
-                record=lambda stage, x: None) -> tuple[np.ndarray, np.ndarray]:
-    """Standardize and weight the raw (k, m, T) block ``a`` in ``buffer``, a C-contiguous
-    array of its shape, re-base it and write its (k, m-1, T-1) local volumes to ``out``;
-    return the weighted block's max and min over its areas. ``record(stage, x)`` sees
-    the standardized and then the weighted block."""
-    x = standardize(a, plan.operands, out=buffer)
-    record("standardized", x)
-    _weigh(x, plan.lam, plan.theta, out=x)
-    record("weighted", x)
-    extrema = np.maximum.reduce(x, axis=0), np.minimum.reduce(x, axis=0)
-    _volumes_over(zeroing_image(x, plan.mode, out=x), out)
-    return extrema
-
-
 def _ideals_and_volumes(values: np.ndarray, indices, lam: np.ndarray, theta: np.ndarray,
                         mode: ZeroingMode, trace: gio.TraceWriter, extrema: tuple):
     """Both ideal matrices and every area's (m-1, T-1) local volumes, in one pass over blocks.
 
-    The run's plan is taken from the whole input and its index ``extrema`` first. Each
-    block of areas then goes through ``_block_pass`` in one buffer, and its maxima and
-    minima are folded into the running ideals in block order.
+    The standardization's operands are taken from the whole input and its index ``extrema``
+    first, and both weights made (m, T) grids. Each block of areas is then standardized
+    and weighted in one buffer, its maxima and minima are folded into the running ideals
+    in block order, and it is re-based in place and its local volumes written out.
     Every cell takes the operations it would take in the whole array, and maxima and
     minima are exact, so no result depends on where the blocks end.
     """
     n, m, T = values.shape
-    plan = _run_plan(values, indices, lam, theta, mode, extrema)
+    operands = standardization(values, indices, extrema)
+    lam, theta = _weight_grids(lam, theta)
+    step = _block_step(m * T)
     vol = np.empty((n, m - 1, T - 1))
-    buffer = np.empty((min(plan.step, n), m, T))
+    buffer = np.empty((min(step, n), m, T))
     c_pos = c_neg = None
-    for k in range(0, n, plan.step):
-        a = values[k:k + plan.step]
-        hi, lo = _block_pass(plan, a, buffer[: len(a)], vol[k:k + plan.step],
-                             lambda stage, x: trace.per_area(stage, x, k))
+    for k in range(0, n, step):
+        a = values[k:k + step]
+        x = standardize(a, operands, out=buffer[: len(a)])
+        trace.per_area("standardized", x, k)
+        _weigh(x, lam, theta, out=x)
+        trace.per_area("weighted", x, k)
+        hi, lo = np.maximum.reduce(x, axis=0), np.minimum.reduce(x, axis=0)
         if c_pos is None:
             c_pos, c_neg = hi, lo
         else:
             np.maximum(c_pos, hi, out=c_pos)
             np.minimum(c_neg, lo, out=c_neg)
+        _volumes_over(zeroing_image(x, mode, out=x), vol[k:k + step])
     return c_pos, c_neg, vol
 
 

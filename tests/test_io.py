@@ -227,14 +227,26 @@ class TestLoadJson:
          r"indices\[0\]: weight must be a number, got '0.1458'"),
         (lambda doc: doc["periods"][1].update(weight="0.2"),
          r"periods\[1\]: weight must be a number, got '0.2'"),
+        (lambda doc: doc["indices"][0].update(orientation={"interval": [1]}),
+         r"indices\[0\]: interval bounds must be a \[low, high\] pair"),
+        (lambda doc: doc["indices"][0].update(orientation={"interval": 5}),
+         r"indices\[0\]: interval bounds must be a \[low, high\] pair"),
+        (lambda doc: doc["indices"][0].update(orientation=7),
+         r"indices\[0\]: orientation must be one of benefit, cost, intermediate, interval or"),
+        (lambda doc: doc["indices"][0].update(orientation={"interval": [1, 2], "x": 1}),
+         r"indices\[0\]: orientation must be one of benefit, cost, intermediate, interval or"),
+        (lambda doc: [1, 2], r"^top level must be an object$"),
+        (lambda doc: 3, r"^top level must be an object$"),
     ], ids=["null-weight", "text-weight", "list-period-weight", "null-interval-low",
             "text-interval-high", "number-index", "string-period", "list-area",
             "boolean-cell", "boolean-weight", "boolean-period-weight", "boolean-interval-high",
-            "string-cell", "string-weight", "string-period-weight"])
+            "string-cell", "string-weight", "string-period-weight", "short-interval",
+            "number-interval", "number-orientation", "extra-interval-key", "list-document",
+            "number-document"])
     def test_malformed_entry_located(self, tmp_path, case_dict, edit, locus):
-        edit(case_dict)
+        replaced = edit(case_dict)  # a whole new document, or None after an edit in place
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(case_dict))
+        path.write_text(json.dumps(case_dict if replaced is None else replaced))
         with pytest.raises(InputFormatError, match=locus):
             load_input(path)
 
@@ -868,6 +880,8 @@ _CLEAN_AREAS = [{"name": "a", "values": [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]},
 @example((_file_bytes([("areas", _CLEAN_AREAS[:1]), *_JSON_META.items(),
                        ("areas", _CLEAN_AREAS)]), True), 3)
 @example((_file_bytes([*_JSON_META.items(), ("regions", _CLEAN_AREAS)]), True), 5)
+# whitespace after the document that runs on past the window holding its closing brace
+@example((_file_bytes([*_JSON_META.items(), ("areas", _CLEAN_AREAS)]) + b" \r\n" * 40, True), 16)
 @example((_file_bytes([("areas", []), *_JSON_META.items()]), True), 8)  # an empty batch
 @example((_file_bytes([("indices", [{**_JSON_META["indices"][0], "weight": {"values": [[1, 2]]}},
                                     _JSON_META["indices"][1]]),  # its repr is in the message

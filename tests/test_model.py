@@ -226,13 +226,17 @@ def test_non_interval_must_not_carry_bounds():
 
 def test_invalid_input_rejected_when_built():
     base = make_input([[[1.0, 2.0], [3.0, 4.0]], [[0.0, 1.0], [2.0, 3.0]]])
-    errs = _errors(AssessmentInput, indices=base.indices, periods=base.periods,
+    unbounded = dataclasses.replace(base.indices[1], orientation=Orientation.interval(0.0, np.inf))
+    errs = _errors(AssessmentInput, indices=(base.indices[0], unbounded), periods=base.periods,
                    time_weights=[0.5, 0.0], area_names=("a", "a"),
                    values=[[[1.0, 2.0], [3.0, 4.0]], [[np.inf, 1.0], [2.0, 3.0]]])
     assert any("duplicate area name 'a'" in e for e in errs)
     assert any("time weight 0.0 not positive" in e for e in errs)
     assert any("time weights sum 0.50" in e for e in errs)
     assert any("non-finite value at index 'e1', period 't1'" in e for e in errs)
+    assert "index 'e2': interval bounds must be finite" in errs
+    assert _errors(dataclasses.replace, base, time_weights=[0.2, 0.3, 0.5]) == [
+        "time_weights length 3 does not match 2 periods"]
 
 
 def test_load_and_run_validate_once(bundled_input, tmp_path, monkeypatch):

@@ -378,25 +378,28 @@ def test_traced_run_peak_keeps_no_stage(n, m, T, tmp_path):
 
 @pytest.mark.parametrize("mode", list(ZeroingMode), ids=lambda m: m.value)
 @pytest.mark.parametrize("k, m, T", [(364, 15, 6), (27, 50, 24)])
-def test_block_pass_allocates_one_flat_temporary(k, m, T, mode):
-    """A block pass of all four orientations holds, beyond the block's max and min, only the
-    flat (k*m*T - T - 1) temporary of its anti-diagonal terms: no (k, m-1, T-1) temporary
-    and no buffer for a strided operand (numpy's are 8192 cells)."""
+def test_block_loop_allocates_one_flat_temporary(k, m, T, mode):
+    """``_ideals_and_volumes`` on one block of all four orientations holds, beyond the
+    volumes, the buffer and the block's max and min, only the flat (k*m*T - T - 1)
+    temporary of its anti-diagonal terms and (m, T) operands and weight grids: no
+    (k, m-1, T-1) temporary and no buffer for a strided operand (numpy's are 8192 cells)."""
+    assert k * m * T <= incidence.BLOCK_CELLS  # one block
     kinds = KINDS + (Orientation.interval(0.25, 0.75),)
     inp = make_input(np.random.default_rng(2).random((k, m, T)),
                      orientations=[kinds[j % len(kinds)] for j in range(m)])
-    plan = pipeline._run_plan(inp.values, inp.indices, np.full(m, 1 / m), np.full(T, 1 / T),
-                              mode, index_extrema(inp.values))
-    buffer, out = np.empty((k, m, T)), np.empty((k, m - 1, T - 1))
-    pipeline._block_pass(plan, inp.values, buffer, out)
+    args = (inp.values, inp.indices, np.full(m, 1 / m), np.full(T, 1 / T), mode,
+            gio.TraceWriter(None, None), index_extrema(inp.values))
+    pipeline._ideals_and_volumes(*args)
     tracemalloc.start()
     try:
-        pipeline._block_pass(plan, inp.values, buffer, out)
+        pipeline._ideals_and_volumes(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    anti, extrema = (k * m * T - T - 1) * 8, 2 * m * T * 8
-    assert peak <= anti + extrema + 2048, (peak, anti, extrema)
+    vol, buffer = k * (m - 1) * (T - 1) * 8, k * m * T * 8
+    anti, extrema, grids = (k * m * T - T - 1) * 8, 2 * m * T * 8, 8 * m * T * 8
+    assert peak <= vol + buffer + anti + extrema + grids + 2048, (peak - vol - buffer, anti,
+                                                                  extrema, grids)
 
 
 # --- the stages against their earlier whole-array forms ---------------------
