@@ -92,13 +92,13 @@ def _parse_orientation(raw, locus: str) -> Orientation:
                 f"{locus}: unknown orientation '{raw}' "
                 f"(allowed: {', '.join(_ORIENTATION_NAMES)})"
             )
-        return Orientation(OrientationKind(raw))
+        return Orientation(raw)
     if isinstance(raw, dict) and set(raw) == {"interval"}:
         bounds = raw["interval"]
         if not (isinstance(bounds, (list, tuple)) and len(bounds) == 2):
             raise InputFormatError(f"{locus}: interval bounds must be a [low, high] pair")
-        return Orientation.interval(_number(bounds[0], locus, "interval low"),
-                                    _number(bounds[1], locus, "interval high"))
+        return Orientation(OrientationKind.INTERVAL, _number(bounds[0], locus, "interval low"),
+                           _number(bounds[1], locus, "interval high"))
     raise InputFormatError(
         f"{locus}: orientation must be one of {', '.join(_ORIENTATION_NAMES)} "
         'or {"interval": [low, high]}'

@@ -9,6 +9,7 @@ data. All types are immutable value objects and safe to share across threads.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -37,27 +38,17 @@ class OrientationKind(str, Enum):
 
 @dataclass(frozen=True)
 class Orientation:
-    """Orientation of one index, with bounds only for the interval kind."""
+    """Orientation of one index: a kind or its name, and float bounds for the interval kind."""
 
     kind: OrientationKind
     interval_low: float | None = None
     interval_high: float | None = None
 
-    @staticmethod
-    def benefit() -> "Orientation":
-        return Orientation(OrientationKind.BENEFIT)
-
-    @staticmethod
-    def cost() -> "Orientation":
-        return Orientation(OrientationKind.COST)
-
-    @staticmethod
-    def intermediate() -> "Orientation":
-        return Orientation(OrientationKind.INTERMEDIATE)
-
-    @staticmethod
-    def interval(low: float, high: float) -> "Orientation":
-        return Orientation(OrientationKind.INTERVAL, float(low), float(high))
+    def __post_init__(self):
+        object.__setattr__(self, "kind", OrientationKind(self.kind))
+        for bound in ("interval_low", "interval_high"):
+            if getattr(self, bound) is not None:
+                object.__setattr__(self, bound, float(getattr(self, bound)))
 
 
 @dataclass(frozen=True)
@@ -126,7 +117,9 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 def _check_orientation(d: IndexDefinition, errors: list[str]) -> None:
     o = d.orientation
-    if o.kind is OrientationKind.INTERVAL:
+    if not isinstance(o, Orientation):
+        errors.append(f"index '{d.id}': orientation must be an Orientation, got {o!r}")
+    elif o.kind is OrientationKind.INTERVAL:
         if o.interval_low is None or o.interval_high is None:
             errors.append(f"index '{d.id}': interval orientation missing bounds")
             return
@@ -173,8 +166,9 @@ def _check_ranges(
     extrema = index_extrema(values)
     lows, highs = (e.copy() for e in extrema)
     for j, d in enumerate(indices):
-        if d.orientation.kind is OrientationKind.INTERVAL:
-            for v in (d.orientation.interval_low, d.orientation.interval_high):
+        o = d.orientation
+        if isinstance(o, Orientation) and o.kind is OrientationKind.INTERVAL:
+            for v in (o.interval_low, o.interval_high):
                 if v is not None and math.isfinite(v):
                     lows[j], highs[j] = min(lows[j], v), max(highs[j], v)
     with np.errstate(over="ignore"):
@@ -221,13 +215,17 @@ def validate_input(inp: AssessmentInput) -> AssessmentInput:
         _check_string(label, f"periods[{t}]", errors)
 
     seen: set[str] = set()
+    weights_are_numbers = True
     for j, d in enumerate(inp.indices):
         _check_string(d.name, f"indices[{j}].name", errors)
         if _check_string(d.id, f"indices[{j}].id", errors):
             if d.id in seen:
                 errors.append(f"duplicate index id '{d.id}'")
             seen.add(d.id)
-        if not math.isfinite(d.weight) or not (0.0 < d.weight <= 1.0):
+        if not isinstance(d.weight, numbers.Real) or isinstance(d.weight, bool):
+            errors.append(f"index '{d.id}': weight must be a number, got {d.weight!r}")
+            weights_are_numbers = False
+        elif not math.isfinite(d.weight) or not (0.0 < d.weight <= 1.0):
             errors.append(f"index '{d.id}': weight {d.weight!r} outside (0, 1]")
         _check_orientation(d, errors)
 
@@ -252,7 +250,7 @@ def validate_input(inp: AssessmentInput) -> AssessmentInput:
                     f"period '{inp.periods[t]}': time weight {float(w)!r} not positive"
                 )
 
-    if m > 0:
+    if m > 0 and weights_are_numbers:
         lam_sum = float(sum(d.weight for d in inp.indices))
         if math.isfinite(lam_sum) and abs(lam_sum - 1.0) > WEIGHT_SUM_TOLERANCE:
             errors.append(f"index weights sum {lam_sum:.2f} outside tolerance")

@@ -31,7 +31,7 @@ def make_input(matrices, index_weights=None, time_weights=None, orientations=Non
     if time_weights is None:
         time_weights = [1.0 / T] * T
     if orientations is None:
-        orientations = [Orientation.benefit()] * m
+        orientations = [Orientation("benefit")] * m
     if names is None:
         names = [f"area{k + 1}" for k in range(n)]
     indices = tuple(

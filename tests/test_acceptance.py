@@ -5,7 +5,6 @@ lines on a green run.
 """
 
 import csv
-import json
 import re
 import time
 from contextlib import contextmanager
@@ -118,8 +117,8 @@ def _random_mixed_input(rng):
     n = int(rng.integers(2, 5))
     m = int(rng.integers(2, 6))
     T = int(rng.integers(2, 6))
-    kinds = [Orientation.benefit(), Orientation.cost(), Orientation.intermediate(),
-             Orientation.interval(-5.0, 5.0)]
+    kinds = [Orientation("benefit"), Orientation("cost"), Orientation("intermediate"),
+             Orientation("interval", -5.0, 5.0)]
     mats = [rng.uniform(-20.0, 20.0, (m, T)) for _ in range(n)]
     return make_input(mats, orientations=[kinds[j % 4] for j in range(m)])
 
@@ -136,8 +135,8 @@ def test_criterion_5_property_suites():
         # cost = 1 - benefit exactly
         for _ in range(200):
             mats = [rng.uniform(-100.0, 100.0, (2, 3)) for _ in range(2)]
-            benefit = standardized(make_input(mats, orientations=[Orientation.benefit()] * 2))
-            cost = standardized(make_input(mats, orientations=[Orientation.cost()] * 2))
+            benefit = standardized(make_input(mats, orientations=[Orientation("benefit")] * 2))
+            cost = standardized(make_input(mats, orientations=[Orientation("cost")] * 2))
             assert (cost == 1.0 - benefit).all()
 
         # ideal dominance

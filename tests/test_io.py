@@ -315,7 +315,7 @@ def small_inputs(draw):
     for j, w in enumerate(unit_weights(m)):
         kind = draw(st.sampled_from(list(OrientationKind)))
         if kind is OrientationKind.INTERVAL:
-            orientation = Orientation.interval(*sorted(draw(st.tuples(number, number))))
+            orientation = Orientation("interval", *sorted(draw(st.tuples(number, number))))
         else:
             orientation = Orientation(kind)
         name = draw(st.one_of(st.just(f"e{j}"), text))
@@ -379,6 +379,18 @@ class TestFingerprint:
         assert compute_fingerprint(load_input(tmp_path / "bundle")) == compute_fingerprint(
             bundled_input
         )
+
+    def test_hash_depends_only_on_the_inputs_value(self, bundled_input, case_dict, tmp_path):
+        def with_bounds(low, high):
+            first = dataclasses.replace(bundled_input.indices[0], orientation=Orientation(
+                OrientationKind.INTERVAL, low, high))
+            return dataclasses.replace(bundled_input, indices=(first, *bundled_input.indices[1:]))
+
+        case_dict["indices"][0]["orientation"] = {"interval": [10, 20]}
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(case_dict))
+        inputs = (with_bounds(10, 20), with_bounds(10.0, 20.0), load_input(path))
+        assert len({compute_fingerprint(inp) for inp in inputs}) == 1
 
     @pytest.mark.parametrize("edit", [
         lambda doc: doc["areas"][0].update(name="area9"),

@@ -202,7 +202,7 @@ def test_overflowing_time_weight_sum_rejected():
 def test_interval_bounds_required():
     errs = _errors(
         make_input, [[[1.0, 2.0], [3.0, 4.0]], [[0.0, 1.0], [2.0, 3.0]]],
-        orientations=[Orientation(OrientationKind.INTERVAL), Orientation.benefit()],
+        orientations=[Orientation(OrientationKind.INTERVAL), Orientation("benefit")],
     )
     assert any("interval orientation missing bounds" in e for e in errs)
 
@@ -210,7 +210,7 @@ def test_interval_bounds_required():
 def test_interval_bounds_ordered():
     errs = _errors(
         make_input, [[[1.0, 2.0], [3.0, 4.0]], [[0.0, 1.0], [2.0, 3.0]]],
-        orientations=[Orientation.interval(5.0, 2.0), Orientation.benefit()],
+        orientations=[Orientation("interval", 5.0, 2.0), Orientation("benefit")],
     )
     assert any("interval_low" in e for e in errs)
 
@@ -219,14 +219,15 @@ def test_non_interval_must_not_carry_bounds():
     errs = _errors(
         make_input, [[[1.0, 2.0], [3.0, 4.0]], [[0.0, 1.0], [2.0, 3.0]]],
         orientations=[Orientation(OrientationKind.BENEFIT, 1.0, 2.0),
-                      Orientation.benefit()],
+                      Orientation("benefit")],
     )
     assert any("must carry no interval bounds" in e for e in errs)
 
 
 def test_invalid_input_rejected_when_built():
     base = make_input([[[1.0, 2.0], [3.0, 4.0]], [[0.0, 1.0], [2.0, 3.0]]])
-    unbounded = dataclasses.replace(base.indices[1], orientation=Orientation.interval(0.0, np.inf))
+    unbounded = dataclasses.replace(base.indices[1],
+                                    orientation=Orientation("interval", 0.0, np.inf))
     errs = _errors(AssessmentInput, indices=(base.indices[0], unbounded), periods=base.periods,
                    time_weights=[0.5, 0.0], area_names=("a", "a"),
                    values=[[[1.0, 2.0], [3.0, 4.0]], [[np.inf, 1.0], [2.0, 3.0]]])
@@ -237,6 +238,13 @@ def test_invalid_input_rejected_when_built():
     assert "index 'e2': interval bounds must be finite" in errs
     assert _errors(dataclasses.replace, base, time_weights=[0.2, 0.3, 0.5]) == [
         "time_weights length 3 does not match 2 periods"]
+    for weight in ("0.5", None, [0.5], True):
+        index = dataclasses.replace(base.indices[0], weight=weight)
+        assert _errors(dataclasses.replace, base, indices=(index, base.indices[1])) == [
+            f"index 'e1': weight must be a number, got {weight!r}"]
+    named = dataclasses.replace(base.indices[0], orientation="benefit")
+    assert _errors(dataclasses.replace, base, indices=(named, base.indices[1])) == [
+        "index 'e1': orientation must be an Orientation, got 'benefit'"]
 
 
 def test_load_and_run_validate_once(bundled_input, tmp_path, monkeypatch):

@@ -13,7 +13,7 @@ import oracle
 from conftest import make_input, standardized
 
 
-def std(rows, orientation=Orientation.benefit()):
+def std(rows, orientation=Orientation("benefit")):
     """Standardize a single index given as per-area rows (n x T)."""
     x = np.array(rows, dtype=float)[:, None, :]
     indices = [IndexDefinition("x", "x", orientation, 1.0)]
@@ -40,7 +40,7 @@ class TestComputeExtrema:
     def test_intermediate_statistics(self):
         inp = make_input(
             [[[1.0, 1.0], [0.0, 1.0]], [[2.0, 2.0], [0.0, 1.0]], [[5.0, 5.0], [0.0, 1.0]]],
-            orientations=[Orientation.intermediate(), Orientation.benefit()],
+            orientations=[Orientation("intermediate"), Orientation("benefit")],
         )
         ex = oracle.compute_extrema(inp)[0]
         np.testing.assert_array_equal(ex.medians, [2.0, 2.0])
@@ -67,25 +67,25 @@ class TestBenefit:
 
 class TestCost:
     def test_at_maximum(self):
-        assert std(ROW_20_50, Orientation.cost())[0, 3] == 0.0
+        assert std(ROW_20_50, Orientation("cost"))[0, 3] == 0.0
 
     def test_at_minimum(self):
-        assert std(ROW_20_50, Orientation.cost())[0, 0] == 1.0
+        assert std(ROW_20_50, Orientation("cost"))[0, 0] == 1.0
 
     def test_duality_oracle(self):
-        cost = std(ROW_20_50, Orientation.cost())[0, 1]
+        cost = std(ROW_20_50, Orientation("cost"))[0, 1]
         assert cost == 1.0 - std(ROW_20_50)[0, 1]
         assert cost == oracle.standardize_cost(30.0, oracle.IndexExtrema("x", 20.0, 50.0))
         assert cost == pytest.approx(0.6667, abs=5e-5)
 
     def test_degenerate_constant_index(self):
-        np.testing.assert_array_equal(std([[7.0, 7.0], [7.0, 7.0]], Orientation.cost()), 0.5)
+        np.testing.assert_array_equal(std([[7.0, 7.0], [7.0, 7.0]], Orientation("cost")), 0.5)
 
 
 class TestIntermediate:
     # one period; the cross-area median is 2 and the largest deviation 3
     def b(self):
-        return std([[1.0], [2.0], [5.0]], Orientation.intermediate())[:, 0]
+        return std([[1.0], [2.0], [5.0]], Orientation("intermediate"))[:, 0]
 
     def test_at_median(self):
         assert self.b()[1] == 1.0
@@ -97,7 +97,7 @@ class TestIntermediate:
         assert self.b()[0] == pytest.approx(2.0 / 3.0)
 
     def test_zero_deviation_degenerates_to_one(self):
-        np.testing.assert_array_equal(std([[2.0], [2.0]], Orientation.intermediate()), 1.0)
+        np.testing.assert_array_equal(std([[2.0], [2.0]], Orientation("intermediate")), 1.0)
 
     def test_missing_statistics_rejected(self):
         # the oracle refuses to guess median statistics it was not given
@@ -108,7 +108,7 @@ class TestIntermediate:
 class TestInterval:
     # observed range [0, 30] around the interval [10, 20]
     def b(self):
-        return std([[0.0, 15.0, 5.0, 25.0, 30.0]], Orientation.interval(10.0, 20.0))[0]
+        return std([[0.0, 15.0, 5.0, 25.0, 30.0]], Orientation("interval", 10.0, 20.0))[0]
 
     def test_inside(self):
         assert self.b()[1] == 1.0
@@ -121,7 +121,7 @@ class TestInterval:
 
     def test_all_data_inside_degenerates_to_one(self):
         np.testing.assert_array_equal(
-            std([[12.0, 18.0]], Orientation.interval(10.0, 20.0)), 1.0)
+            std([[12.0, 18.0]], Orientation("interval", 10.0, 20.0)), 1.0)
 
 
 class TestStandardizeAll:
@@ -150,8 +150,8 @@ class TestStandardizeAll:
 
     def test_float64_argument_is_left_unchanged(self, bundled_input):
         """The result is a new array and a float64 argument keeps its bytes."""
-        kinds = [Orientation.benefit(), Orientation.cost(), Orientation.intermediate(),
-                 Orientation.interval(-2.0, 2.0)]
+        kinds = [Orientation("benefit"), Orientation("cost"), Orientation("intermediate"),
+                 Orientation("interval", -2.0, 2.0)]
         mixed = make_input((np.arange(160.0) * 37 % 101 - 50).reshape(5, 8, 4) / 10,
                            orientations=[kinds[j % 4] for j in range(8)])
         digests = [  # sha256 of each result, as computed when the argument was overwritten
@@ -170,8 +170,8 @@ class TestStandardizeAll:
         inp = make_input(
             [[[1.0, 9.0], [4.0, 2.0], [3.0, 3.0], [8.0, 1.0]],
              [[5.0, 2.0], [1.0, 7.0], [2.0, 6.0], [0.0, 4.0]]],
-            orientations=[Orientation.benefit(), Orientation.cost(),
-                          Orientation.intermediate(), Orientation.interval(2.0, 5.0)],
+            orientations=[Orientation("benefit"), Orientation("cost"),
+                          Orientation("intermediate"), Orientation("interval", 2.0, 5.0)],
         )
         b = standardized(inp)
         assert ((b >= 0.0) & (b <= 1.0)).all()
@@ -194,7 +194,7 @@ def value_with_extrema(draw):
 @given(value_with_extrema())
 def test_benefit_and_cost_stay_in_range(case):
     a, lo, hi = case
-    for orientation in (Orientation.benefit(), Orientation.cost()):
+    for orientation in (Orientation("benefit"), Orientation("cost")):
         b = std([[lo, a, hi]], orientation)
         assert ((0.0 <= b) & (b <= 1.0)).all()
 
@@ -203,7 +203,7 @@ def test_benefit_and_cost_stay_in_range(case):
 def test_duality_is_exact(case):
     a, lo, hi = case
     row = [[lo, a, hi]]
-    np.testing.assert_array_equal(std(row, Orientation.cost()), 1.0 - std(row))
+    np.testing.assert_array_equal(std(row, Orientation("cost")), 1.0 - std(row))
 
 
 @given(value_with_extrema(), value_with_extrema())
@@ -212,7 +212,7 @@ def test_benefit_monotone(p1, p2):
     a2 = min(max(p2[0], lo), hi)
     lower, upper = sorted((a1, a2))
     row = [[lo, lower, upper, hi]]
-    b, c = std(row)[0], std(row, Orientation.cost())[0]
+    b, c = std(row)[0], std(row, Orientation("cost"))[0]
     assert b[1] <= b[2]
     assert c[1] >= c[2]
 
@@ -228,7 +228,7 @@ def test_interval_peak_and_falloff(low, width, offset):
     inside = low + width / 2
     below = max(low - offset, lo)
     above = min(high + offset, hi)
-    b = std([[lo, inside, below, above, hi]], Orientation.interval(low, high))[0]
+    b = std([[lo, inside, below, above, hi]], Orientation("interval", low, high))[0]
     at_lo, at_inside, at_below, at_above, at_hi = b
     assert at_inside == 1.0
     assert at_below >= at_lo
@@ -253,13 +253,13 @@ matrix_strategy = st.integers(min_value=2, max_value=5).flatmap(
 @settings(max_examples=50, deadline=None)
 def test_all_orientations_standardize_into_unit_range(mats):
     m = len(mats[0])
-    kinds = [Orientation.benefit(), Orientation.cost(), Orientation.intermediate(),
-             Orientation.interval(-10.0, 10.0)]
+    kinds = [Orientation("benefit"), Orientation("cost"), Orientation("intermediate"),
+             Orientation("interval", -10.0, 10.0)]
     b = standardized(make_input(mats, orientations=[kinds[j % 4] for j in range(m)]))
     assert ((b >= 0.0) & (b <= 1.0)).all()
 
 
-@given(matrix_strategy, st.sampled_from([Orientation.benefit(), Orientation.cost()]))
+@given(matrix_strategy, st.sampled_from([Orientation("benefit"), Orientation("cost")]))
 @settings(max_examples=50, deadline=None)
 def test_extremum_attainment(mats, orientation):
     m = len(mats[0])

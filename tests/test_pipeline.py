@@ -20,6 +20,7 @@ from greyrisk import (
     Orientation,
     RiskLevel,
     RunConfig,
+    ValidationError,
     ZeroingMode,
     cli,
     incidence,
@@ -260,9 +261,28 @@ def test_fingerprint_tracks_dataset_not_config(bundled_input):
     assert other.fingerprint == a.fingerprint
 
 
+def test_orientations_named_by_string_give_the_same_run_and_fingerprint():
+    base = load_bundled_case()
+    indices = [dataclasses.replace(d, orientation=Orientation(
+        d.orientation.kind.value, d.orientation.interval_low, d.orientation.interval_high))
+        for d in base.indices]
+    named = run_assessment(dataclasses.replace(base, indices=indices))
+    expected = run_assessment(base)
+    assert named.fingerprint == expected.fingerprint
+    assert named.result.names == expected.result.names
+    for key in RESULT_COLUMNS:
+        assert getattr(named.result, key).tobytes() == getattr(expected.result, key).tobytes()
+    with pytest.raises(ValueError):
+        Orientation("bogus")
+    with pytest.raises(ValidationError, match="interval orientation missing bounds"):
+        dataclasses.replace(base, indices=[
+            dataclasses.replace(base.indices[0], orientation=Orientation("interval")),
+            *base.indices[1:]])
+
+
 # --- agreement with the per-area oracle ------------------------------------
 
-KINDS = (Orientation.benefit(), Orientation.cost(), Orientation.intermediate())
+KINDS = (Orientation("benefit"), Orientation("cost"), Orientation("intermediate"))
 
 
 @st.composite
@@ -278,7 +298,7 @@ def assessment_inputs(draw, kinds=KINDS):
     orientations = []
     for _ in range(m):
         low = draw(st.integers(-30, 30))
-        interval = Orientation.interval(low, low + draw(st.integers(0, 20)))
+        interval = Orientation("interval", low, low + draw(st.integers(0, 20)))
         orientations.append(draw(st.sampled_from(kinds + (interval,))))
     return make_input(mats, orientations=orientations, names=[f"a{k}" for k in range(len(mats))])
 
@@ -333,7 +353,7 @@ def test_traced_run_gives_the_same_bits(inp, mode):
         assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), key
 
 
-def _run_peak_in_inputs(n, m, T, config, kinds=KINDS + (Orientation.interval(0.25, 0.75),)):
+def _run_peak_in_inputs(n, m, T, config, kinds=KINDS + (Orientation("interval", 0.25, 0.75),)):
     """tracemalloc peak of one run on random (n, m, T) scores of the orientations ``kinds``
     in turn, as a multiple of the input array's size."""
     rng = np.random.default_rng(1)
@@ -358,8 +378,8 @@ def test_untraced_run_peak_is_the_volumes_and_one_block(n, m, T):
     assert ratio <= 1.35, ratio
 
 
-@pytest.mark.parametrize("kinds", [(Orientation.benefit(),),
-                                   KINDS + (Orientation.interval(0.25, 0.75),)],
+@pytest.mark.parametrize("kinds", [(Orientation("benefit"),),
+                                   KINDS + (Orientation("interval", 0.25, 0.75),)],
                          ids=["benefit", "all-four"])
 def test_untraced_run_peak_at_20000_areas_is_under_one_input(kinds):
     """At 15 x 6 the local volumes are 70/90 of the input, and the blocks and the
@@ -384,7 +404,7 @@ def test_block_loop_allocates_one_flat_temporary(k, m, T, mode):
     temporary of its anti-diagonal terms and (m, T) operands and weight grids: no
     (k, m-1, T-1) temporary and no buffer for a strided operand (numpy's are 8192 cells)."""
     assert k * m * T <= incidence.BLOCK_CELLS  # one block
-    kinds = KINDS + (Orientation.interval(0.25, 0.75),)
+    kinds = KINDS + (Orientation("interval", 0.25, 0.75),)
     inp = make_input(np.random.default_rng(2).random((k, m, T)),
                      orientations=[kinds[j % len(kinds)] for j in range(m)])
     args = (inp.values, inp.indices, np.full(m, 1 / m), np.full(T, 1 / T), mode,
@@ -425,10 +445,10 @@ def stage_inputs(draw):
         if draw(st.booleans()):
             values[:, j, :] = draw(cell)
         orientation = draw(st.sampled_from(
-            [Orientation.benefit(), Orientation.cost(), Orientation.intermediate(), None]))
+            [Orientation("benefit"), Orientation("cost"), Orientation("intermediate"), None]))
         if orientation is None:
             low, high = draw(bounds)
-            orientation = Orientation.interval(low, high)
+            orientation = Orientation("interval", low, high)
             if draw(st.booleans()):
                 values[:, j, :] = np.clip(values[:, j, :], low, high)
         indices.append(IndexDefinition(f"e{j}", f"e{j}", orientation, 1.0))
@@ -475,8 +495,8 @@ def _edge_case(n):
     values = rng.random((n, 7, 3))
     values[:, :2] = rng.choice([-0.0, 0.0, 0.5, 1.0], (n, 2, 3))
     values[:, 4], values[:, 5] = 3.0, -0.0
-    kinds = KINDS + (Orientation.interval(0.25, 0.75), Orientation.benefit(),
-                     Orientation.intermediate(), Orientation.interval(-1.0, 2.0))
+    kinds = KINDS + (Orientation("interval", 0.25, 0.75), Orientation("benefit"),
+                     Orientation("intermediate"), Orientation("interval", -1.0, 2.0))
     indices = [IndexDefinition(f"e{j}", f"e{j}", kind, 1.0) for j, kind in enumerate(kinds)]
     return values, indices, np.full(7, 1 / 7), np.full(3, 1 / 3)
 
@@ -553,7 +573,7 @@ def _hashing_threads():
 @pytest.mark.parametrize("mode", list(ZeroingMode), ids=lambda m: m.value)
 def test_fingerprint_worker_changes_no_result_fingerprint_or_trace_byte(mode, tmp_path):
     inp = make_input(np.random.default_rng(3).random((7, 4, 3)),
-                     orientations=KINDS + (Orientation.interval(0.25, 0.75),))
+                     orientations=KINDS + (Orientation("interval", 0.25, 0.75),))
     runs = []
     with _hashing_threads() as on_main:
         for side, rule in (("calling", contextlib.nullcontext()),
@@ -668,7 +688,7 @@ def test_block_boundaries_change_no_result_or_trace_byte(n, mode, tmp_path):
     areas' 6 x 2 volumes, and 50 cells two and four. The default holds every area in
     one block."""
     random = make_input(np.random.default_rng(n).random((n, 4, 3)),
-                        orientations=KINDS + (Orientation.interval(0.25, 0.75),))
+                        orientations=KINDS + (Orientation("interval", 0.25, 0.75),))
     values, indices, _, _ = _edge_case(n)
     edge = make_input(values, orientations=[d.orientation for d in indices])
     for name, inp in (("random", random), ("edge", edge)):
@@ -725,7 +745,7 @@ def _assert_copy_moves_no_other_gamma(inp, source, at_front):
     assert copied == base
 
 
-@given(assessment_inputs(kinds=(Orientation.benefit(), Orientation.cost())), st.data(),
+@given(assessment_inputs(kinds=(Orientation("benefit"), Orientation("cost"))), st.data(),
        st.booleans(), st.integers(1, 40))
 @settings(max_examples=100, deadline=None)
 def test_a_copied_area_moves_no_other_areas_gammas(inp, data, at_front, block_cells):
@@ -746,7 +766,7 @@ def test_a_copied_area_moves_no_other_areas_gammas_across_default_blocks():
     """1000 areas of 15 x 6 benefit and cost scores fill three default blocks of local
     volumes and three of volume differences; a copy put first moves each boundary."""
     rng = np.random.default_rng(4)
-    kinds = (Orientation.benefit(), Orientation.cost())
+    kinds = (Orientation("benefit"), Orientation("cost"))
     inp = make_input(np.round(rng.uniform(0.0, 100.0, (1000, 15, 6)), 1),
                      orientations=[kinds[j % 2] for j in range(15)])
     _assert_copy_moves_no_other_gamma(inp, 500, at_front=True)

@@ -23,7 +23,7 @@ def weighted_and_ideals(mats, lam=None, theta=None):
     n, m, T = values.shape
     lam = np.ones(m) if lam is None else lam
     theta = np.ones(T) if theta is None else theta
-    indices = [IndexDefinition(f"e{j}", f"e{j}", Orientation.benefit(), 1.0) for j in range(m)]
+    indices = [IndexDefinition(f"e{j}", f"e{j}", Orientation("benefit"), 1.0) for j in range(m)]
     extrema = index_extrema(values)
     c = weigh(normalize.standardize(values, normalize.standardization(values, indices, extrema)),
               lam, theta)
