@@ -196,7 +196,7 @@ def _json_areas(entries: list):
         name = _require(entry, "name", locus, str)
         values = _require(entry, "values", locus)
         try:
-            grid = np.asarray(values, dtype=float)  # a float64 array grid is kept as it is
+            grid = np.asarray(values, dtype=float)
         except (TypeError, ValueError, OverflowError) as exc:
             raise InputFormatError(
                 f"{locus} ('{name}'): values must be a rectangular grid of numbers: {exc}"
@@ -205,8 +205,8 @@ def _json_areas(entries: list):
             raise InputFormatError(
                 f"{locus} ('{name}'): values must be a rectangular grid of numbers"
             )
-        # asarray converted them; a float64 array grid holds neither
-        if grid is not values and {bool, str} & {type(v) for row in values for v in row}:
+        # asarray converts both, as 1.0 and 0.0 and as the number a str spells
+        if {bool, str} & {type(v) for row in values for v in row}:
             raise InputFormatError(
                 f"{locus} ('{name}'): values must be numbers, not true/false or strings"
             )

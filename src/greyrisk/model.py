@@ -53,12 +53,17 @@ class Orientation:
 
 @dataclass(frozen=True)
 class IndexDefinition:
-    """One evaluation criterion: identity, orientation, and weight."""
+    """One evaluation criterion: identity, orientation, and weight, a real number held as a
+    float (any other value is left for validation to report)."""
 
     id: str
     name: str
     orientation: Orientation
     weight: float
+
+    def __post_init__(self):
+        if isinstance(self.weight, numbers.Real) and not isinstance(self.weight, bool):
+            object.__setattr__(self, "weight", float(self.weight))
 
 
 @dataclass(frozen=True)
@@ -71,8 +76,12 @@ class AssessmentInput:
 
     ``values`` is held as a read-only C-ordered float64 array: the array a loader
     built (``_Built``) itself, and a copy of any other array, so changing the array
-    a caller passed never changes the input. Validation records each index's extrema
-    on the input as ``_extrema``.
+    a caller passed never changes the input. A time weight that is not a real number
+    (a bool or a str), or ``values`` that numpy cannot make a float64 array, raise
+    ValidationError before the other checks. Validation records each index's extrema
+    on the input as ``_extrema``; the first run of the input records its fingerprint
+    and standardization operands on it as ``_fingerprint`` and ``_operands``, which
+    ``dataclasses.replace`` does not carry to the input it builds.
     """
 
     indices: tuple[IndexDefinition, ...]
@@ -85,12 +94,18 @@ class AssessmentInput:
         object.__setattr__(self, "indices", tuple(self.indices))
         object.__setattr__(self, "periods", tuple(self.periods))
         object.__setattr__(self, "area_names", tuple(self.area_names))
-        object.__setattr__(self, "time_weights", _read_only(np.array(self.time_weights, float)))
+        errors = _time_weight_errors(self.time_weights, self.periods)
         values = self.values
         if type(values) is _Built:
             values = values.array
         else:
-            values = np.array(values, dtype=float, order="C")
+            try:
+                values = np.array(values, dtype=float, order="C")
+            except (TypeError, ValueError) as exc:  # a str cell, a ragged grid
+                errors.append(f"values must be an (n, m, T) array of numbers: {exc}")
+        if errors:
+            raise ValidationError(errors)
+        object.__setattr__(self, "time_weights", _read_only(np.array(self.time_weights, float)))
         object.__setattr__(self, "values", _read_only(values))
         validate_input(self)
 
@@ -108,6 +123,20 @@ class _Built:
 
     def __init__(self, array: np.ndarray):
         self.array = array
+
+
+def _time_weight_errors(weights, periods: tuple) -> list[str]:
+    """A violation for each time weight that is not a real number, named by its period
+    (by its position past the last period); numpy would read a bool as a number."""
+    try:
+        weights = list(weights)
+    except TypeError:
+        return [f"time_weights must be a sequence of numbers, got {weights!r}"]
+    loci = [f"period '{p}'" for p in periods[:len(weights)]]
+    loci += [f"time_weights[{t}]" for t in range(len(loci), len(weights))]
+    return [f"{locus}: time weight must be a number, got {w!r}"
+            for locus, w in zip(loci, weights)
+            if not isinstance(w, numbers.Real) or isinstance(w, bool)]
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -262,7 +291,7 @@ def validate_input(inp: AssessmentInput) -> AssessmentInput:
 
     values, extrema = inp.values, None
     if values.shape != (n, m, T):
-        got = "x".join(str(k) for k in values.shape)
+        got = "x".join(str(k) for k in values.shape) or "a 0-d array"
         errors.append(f"values: expected {n}x{m}x{T} array, got {got}")
     elif values.size:
         # NaN and +-inf carry through min and max, so no (n, m, T) mask is built;

@@ -26,7 +26,7 @@ from .incidence import (
     zeroing_image,
 )
 from .model import AssessmentInput
-from .normalize import standardization, standardize
+from .normalize import Standardization, standardization, standardize
 from .ranking import (
     DegenerateAssessmentError,
     RiskLevel,
@@ -37,9 +37,9 @@ from .ranking import (
 from .weighting import _weigh, _weight_grids
 
 MAX_REPORT_DECIMALS = 12  # the text report prints 0 to this many decimals
-# the score bytes of an input of more cells than this are hashed on a worker thread
-# while the run goes on; in a fresh process on two CPUs that breaks even near 100 000
-# cells (README)
+# on the first run of an input of more cells than this, its score bytes are hashed on a
+# worker thread while the run goes on; in a fresh process on two CPUs that breaks even
+# near 100 000 cells (README). Later runs of the input hash nothing.
 FINGERPRINT_THREAD_CELLS = 250_000
 
 
@@ -126,17 +126,20 @@ def run_assessment(inp: AssessmentInput, config: RunConfig | None = None) -> Ass
     files per area (standardized, weighted, and toward each ideal the volume
     differences and grey coefficients).
 
-    The input's fingerprint is hashed first. When the input has more than
-    FINGERPRINT_THREAD_CELLS score cells, the metadata is hashed on the caller
-    first and only the score bytes on one worker thread while the steps run; the
-    worker is joined before the report is built, whether the steps succeed or
-    raise. An error of the hash is raised on the caller in place of any error of
-    the steps, as when the hash runs first. The report does not depend on where
-    the hash ran.
+    The input's fingerprint and the standardization's operands depend on the input
+    alone, so the first run that makes them records them on it (``_fingerprint`` once
+    it returns a report, ``_operands`` once they are taken, their arrays read-only), and
+    later runs of the input reuse them. A run that has no recorded fingerprint hashes it
+    first. When the input has more than FINGERPRINT_THREAD_CELLS score cells, the
+    metadata is hashed on the caller first and only the score bytes on one worker thread
+    while the steps run; the worker is joined before the report is built, whether the
+    steps succeed or raise. An error of the hash is raised on the caller in place of any
+    error of the steps, as when the hash runs first, and records nothing. The report does
+    not depend on where the hash ran, nor on whether the values were recorded.
 
     Memory: beside the input the run holds the (n, m-1, T-1) local volumes and one
     buffer of a block of areas. Each block is standardized and weighted in the buffer,
-    with operands and weight grids taken once from the whole input, folded into both
+    with operands and weight grids taken from the whole input, folded into both
     ideals, re-based in place, and its local volumes written into their array from flat
     shifted slices of the block, with one flat temporary. Incidence toward both ideals
     takes one pair of passes over blocks of those volumes, so no array of volume
@@ -148,7 +151,8 @@ def run_assessment(inp: AssessmentInput, config: RunConfig | None = None) -> Ass
     config = config or RunConfig()
     t0 = time.perf_counter()
     trace = gio.TraceWriter(config.trace_dir, inp)
-    if inp.values.size > FINGERPRINT_THREAD_CELLS:
+    fingerprint = getattr(inp, "_fingerprint", None)
+    if fingerprint is None and inp.values.size > FINGERPRINT_THREAD_CELLS:
         digest, scores = gio._fingerprint_metadata(inp)
         errors = []
 
@@ -168,8 +172,10 @@ def run_assessment(inp: AssessmentInput, config: RunConfig | None = None) -> Ass
                 raise errors[0]
         fingerprint = digest.hexdigest()
     else:
-        fingerprint = gio.compute_fingerprint(inp)
+        if fingerprint is None:
+            fingerprint = gio.compute_fingerprint(inp)
         result = _ranked(inp, config, trace)
+    object.__setattr__(inp, "_fingerprint", fingerprint)
     return AssessmentReport(
         result=result,
         fingerprint=fingerprint,
@@ -186,8 +192,15 @@ def _ranked(inp: AssessmentInput, config: RunConfig, trace: gio.TraceWriter) -> 
     theta, theta_renormed = _renormalized(theta_raw)
 
     mode = config.zeroing_mode
-    c_pos, c_neg, vol = _ideals_and_volumes(inp.values, inp.indices, lam, theta, mode, trace,
-                                            inp._extrema)
+    operands = getattr(inp, "_operands", None)
+    if operands is None:
+        operands = standardization(inp.values, inp.indices, inp._extrema)
+        # every later run of the input, on any thread, reads these arrays
+        for arr in (*operands[:-1], *(operands.interval or ())):
+            if arr is not None:
+                arr.setflags(write=False)
+        object.__setattr__(inp, "_operands", operands)
+    c_pos, c_neg, vol = _ideals_and_volumes(inp.values, operands, lam, theta, mode, trace)
     refs = np.empty((2,) + vol.shape[1:])  # each ideal's local volumes
     for ideal, c, ref in zip(("positive", "negative"), (c_pos, c_neg), refs):
         trace.shared(f"{ideal}_ideal", c)
@@ -224,19 +237,19 @@ def _ranked(inp: AssessmentInput, config: RunConfig, trace: gio.TraceWriter) -> 
         s[order], rank[order], classify(s[order]), tied[order], echo)
 
 
-def _ideals_and_volumes(values: np.ndarray, indices, lam: np.ndarray, theta: np.ndarray,
-                        mode: ZeroingMode, trace: gio.TraceWriter, extrema: tuple):
+def _ideals_and_volumes(values: np.ndarray, operands: Standardization, lam: np.ndarray,
+                        theta: np.ndarray, mode: ZeroingMode, trace: gio.TraceWriter):
     """Both ideal matrices and every area's (m-1, T-1) local volumes, in one pass over blocks.
 
-    The standardization's operands are taken from the whole input and its index ``extrema``
-    first, and both weights made (m, T) grids. Each block of areas is then standardized
-    and weighted in one buffer, its maxima and minima are folded into the running ideals
-    in block order, and it is re-based in place and its local volumes written out.
+    ``operands`` are the standardization's, taken over the whole of ``values``
+    (``normalize.standardization``). Both weights are made (m, T) grids first. Each block
+    of areas is then standardized and weighted in one buffer, its maxima and minima are
+    folded into the running ideals in block order, and it is re-based in place and its
+    local volumes written out.
     Every cell takes the operations it would take in the whole array, and maxima and
     minima are exact, so no result depends on where the blocks end.
     """
     n, m, T = values.shape
-    operands = standardization(values, indices, extrema)
     lam, theta = _weight_grids(lam, theta)
     step = _block_step(m * T)
     vol = np.empty((n, m - 1, T - 1))

@@ -1,5 +1,6 @@
 import dataclasses
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from greyrisk import (
     load_input,
     run_assessment,
 )
+from greyrisk.io import compute_fingerprint
 from greyrisk.model import OrientationKind, index_extrema, validate_input
 
 from conftest import (
@@ -245,6 +247,36 @@ def test_invalid_input_rejected_when_built():
     named = dataclasses.replace(base.indices[0], orientation="benefit")
     assert _errors(dataclasses.replace, base, indices=(named, base.indices[1])) == [
         "index 'e1': orientation must be an Orientation, got 'benefit'"]
+    assert _errors(dataclasses.replace, base, time_weights=["a", "b"]) == [
+        "period 't1': time weight must be a number, got 'a'",
+        "period 't2': time weight must be a number, got 'b'"]
+    assert _errors(dataclasses.replace, base, time_weights=[True, 0.5]) == [
+        "period 't1': time weight must be a number, got True"]
+    assert _errors(dataclasses.replace, base, time_weights=[0.5, 0.5, "c"]) == [
+        "time_weights[2]: time weight must be a number, got 'c'"]
+    assert _errors(dataclasses.replace, base, time_weights=None) == [
+        "time_weights must be a sequence of numbers, got None"]
+    for values, detail in (([[[1.0, 2.0], [3.0, 4.0]], [[0.0, "x"], [2.0, 3.0]]],
+                            "could not convert string to float: 'x'"),
+                           ([[[1.0, 2.0], [3.0]], [[0.0, 1.0], [2.0, 3.0]]],
+                            "inhomogeneous shape")):
+        [error] = _errors(dataclasses.replace, base, values=values)
+        assert error.startswith("values must be an (n, m, T) array of numbers: ")
+        assert detail in error
+    assert _errors(dataclasses.replace, base, values=None) == [
+        "values: expected 2x2x2 array, got a 0-d array"]
+
+
+def test_a_real_weight_is_held_as_a_float_and_hashed_as_one():
+    """Weights that are real numbers but not floats run, and give the fingerprint of the
+    float weights; an int weight is held as a float."""
+    base = make_input([[[1.0, 2.0], [3.0, 4.0]], [[0.0, 1.0], [2.0, 3.0]]])
+    exotic = dataclasses.replace(base, indices=tuple(
+        dataclasses.replace(d, weight=w) for d, w in zip(base.indices,
+                                                         (Fraction(1, 2), np.float32(0.5)))))
+    assert [type(d.weight) for d in exotic.indices] == [float, float]
+    assert run_assessment(exotic).fingerprint == compute_fingerprint(base)
+    assert type(IndexDefinition("e1", "e1", Orientation("benefit"), 1).weight) is float
 
 
 def test_load_and_run_validate_once(bundled_input, tmp_path, monkeypatch):

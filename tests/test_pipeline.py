@@ -37,7 +37,7 @@ from greyrisk.model import index_extrema
 from greyrisk.pipeline import AreaAssessment, load_bundled_case
 
 import oracle
-from conftest import make_input, read_matrix, report_to_dict
+from conftest import DEGENERATE_MATRICES, make_input, read_matrix, report_to_dict
 
 # frozen full-precision results for the bundled case under the default
 # configuration (regression anchors; the case's reference tabulation
@@ -401,14 +401,16 @@ def test_traced_run_peak_keeps_no_stage(n, m, T, tmp_path):
 def test_block_loop_allocates_one_flat_temporary(k, m, T, mode):
     """``_ideals_and_volumes`` on one block of all four orientations holds, beyond the
     volumes, the buffer and the block's max and min, only the flat (k*m*T - T - 1)
-    temporary of its anti-diagonal terms and (m, T) operands and weight grids: no
-    (k, m-1, T-1) temporary and no buffer for a strided operand (numpy's are 8192 cells)."""
+    temporary of its anti-diagonal terms and the two (m, T) weight grids: no
+    (k, m-1, T-1) temporary and no buffer for a strided operand (numpy's are 8192 cells).
+    The operands are taken before the measured call, as a run takes them once per input."""
     assert k * m * T <= incidence.BLOCK_CELLS  # one block
     kinds = KINDS + (Orientation("interval", 0.25, 0.75),)
     inp = make_input(np.random.default_rng(2).random((k, m, T)),
                      orientations=[kinds[j % len(kinds)] for j in range(m)])
-    args = (inp.values, inp.indices, np.full(m, 1 / m), np.full(T, 1 / T), mode,
-            gio.TraceWriter(None, None), index_extrema(inp.values))
+    operands = normalize.standardization(inp.values, inp.indices, index_extrema(inp.values))
+    args = (inp.values, operands, np.full(m, 1 / m), np.full(T, 1 / T), mode,
+            gio.TraceWriter(None, None))
     pipeline._ideals_and_volumes(*args)
     tracemalloc.start()
     try:
@@ -417,7 +419,7 @@ def test_block_loop_allocates_one_flat_temporary(k, m, T, mode):
     finally:
         tracemalloc.stop()
     vol, buffer = k * (m - 1) * (T - 1) * 8, k * m * T * 8
-    anti, extrema, grids = (k * m * T - T - 1) * 8, 2 * m * T * 8, 8 * m * T * 8
+    anti, extrema, grids = (k * m * T - T - 1) * 8, 2 * m * T * 8, 2 * m * T * 8
     assert peak <= vol + buffer + anti + extrema + grids + 2048, (peak - vol - buffer, anti,
                                                                   extrema, grids)
 
@@ -460,9 +462,9 @@ def stage_inputs(draw):
 def _blocked_run(values, indices, lam, theta, mode):
     """The run's (c_pos, c_neg, volumes) and its (d_max, d_min, degrees) toward each ideal,
     from one incidence pass toward both, as ``pipeline._ranked`` makes them."""
-    c_pos, c_neg, vol = pipeline._ideals_and_volumes(values, indices, lam, theta, mode,
-                                                     gio.TraceWriter(None, None),
-                                                     index_extrema(values))
+    operands = normalize.standardization(values, indices, index_extrema(values))
+    c_pos, c_neg, vol = pipeline._ideals_and_volumes(values, operands, lam, theta, mode,
+                                                     gio.TraceWriter(None, None))
     refs = np.stack([local_volume(zeroing_image(c, mode)) for c in (c_pos, c_neg)])
     return c_pos, c_neg, vol, list(zip(*incidence._degrees(refs, vol)))
 
@@ -572,12 +574,12 @@ def _hashing_threads():
 
 @pytest.mark.parametrize("mode", list(ZeroingMode), ids=lambda m: m.value)
 def test_fingerprint_worker_changes_no_result_fingerprint_or_trace_byte(mode, tmp_path):
-    inp = make_input(np.random.default_rng(3).random((7, 4, 3)),
-                     orientations=KINDS + (Orientation("interval", 0.25, 0.75),))
     runs = []
     with _hashing_threads() as on_main:
         for side, rule in (("calling", contextlib.nullcontext()),
                            ("worker", _fingerprint_on_worker())):
+            inp = make_input(np.random.default_rng(3).random((7, 4, 3)),
+                             orientations=KINDS + (Orientation("interval", 0.25, 0.75),))
             with rule:
                 config = RunConfig(zeroing_mode=mode, trace_dir=tmp_path / side)
                 report = run_assessment(inp, config)
@@ -598,30 +600,29 @@ def _outcome(call):
 
 
 @pytest.mark.parametrize("error", [OSError, RuntimeError])
-def test_fingerprint_error_reaches_the_caller_on_both_sides_of_the_rule(
-        error, bundled_input, degenerate_input, capsys):
+def test_fingerprint_error_reaches_the_caller_on_both_sides_of_the_rule(error, capsys):
     """The same exception type from run_assessment and the same CLI exit code (OSError
     exits 2; a RuntimeError leaves main), whether the metadata half or the hash of the
     score bytes raises. A hash error comes before a degenerate step's, as when the hash
-    runs first."""
+    runs first. Each run takes a new input, which has no recorded fingerprint."""
     outcomes = []
     for rule in (contextlib.nullcontext, _fingerprint_on_worker):
         for failing in (lambda: mock.patch.object(gio, "_fingerprint_metadata",
                                                   side_effect=error("metadata")),
                         lambda: _metadata_half(mock.Mock(side_effect=error("scores")))):
             with rule(), failing():
-                outcomes.append((_outcome(lambda: run_assessment(bundled_input)),
-                                 _outcome(lambda: run_assessment(degenerate_input)),
+                outcomes.append((_outcome(lambda: run_assessment(load_bundled_case())),
+                                 _outcome(lambda: run_assessment(
+                                     make_input(DEGENERATE_MATRICES))),
                                  _outcome(lambda: cli.main(["demo"]))))
     assert outcomes == [(error, error, 2 if error is OSError else error)] * 4
     capsys.readouterr()
 
 
-def test_worker_thread_is_joined_after_a_run_and_after_a_degenerate_one(
-        bundled_input, degenerate_input):
+def test_worker_thread_is_joined_after_a_run_and_after_a_degenerate_one(degenerate_input):
     before = threading.active_count()
     with _fingerprint_on_worker(), _hashing_threads() as on_main:
-        run_assessment(bundled_input)
+        run_assessment(load_bundled_case())
         assert threading.active_count() == before
         with pytest.raises(DegenerateAssessmentError):
             run_assessment(degenerate_input)
@@ -629,12 +630,11 @@ def test_worker_thread_is_joined_after_a_run_and_after_a_degenerate_one(
     assert on_main == [("metadata", True), ("scores", False)] * 2
 
 
-def test_worker_thread_enters_no_function_but_the_closure_that_hashes_the_scores(
-        bundled_input):
+def test_worker_thread_enters_no_function_but_the_closure_that_hashes_the_scores():
     """The metadata is hashed on the caller: the only Python function that the worker
     enters outside threading.py is a closure of pipeline.py, so no io.py, json or
     module-level pipeline.py function."""
-    entered = set()
+    inp, entered = load_bundled_case(), set()
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code.co_filename != threading.__file__:
@@ -643,7 +643,7 @@ def test_worker_thread_enters_no_function_but_the_closure_that_hashes_the_scores
     threading.setprofile(profile)
     try:
         with _fingerprint_on_worker():
-            run_assessment(bundled_input)
+            run_assessment(inp)
     finally:
         threading.setprofile(None)
     assert [(c.co_filename, c.co_name, bool(c.co_freevars)) for c in entered] == [
@@ -652,14 +652,16 @@ def test_worker_thread_enters_no_function_but_the_closure_that_hashes_the_scores
 
 def test_worker_hash_under_a_short_switch_interval():
     """With threads switched every microsecond the worker still hands over the whole
-    hash, and the columns stay as a run that hashes on the calling thread makes them."""
+    hash, and the columns stay as a run that hashes on the calling thread makes them.
+    Each worker run takes a new copy of the input, which has no recorded fingerprint."""
     inp = make_input(np.random.default_rng(5).random((300, 6, 5)))
     expected = run_assessment(inp)
+    copies = [dataclasses.replace(inp) for _ in range(10)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with _fingerprint_on_worker():
-            reports = [run_assessment(inp) for _ in range(10)]
+            reports = [run_assessment(copy) for copy in copies]
     finally:
         sys.setswitchinterval(interval)
     for report in reports:
@@ -668,6 +670,85 @@ def test_worker_hash_under_a_short_switch_interval():
         for key in RESULT_COLUMNS:
             assert getattr(report.result, key).tobytes() == \
                 getattr(expected.result, key).tobytes(), key
+
+
+# --- what the first run of an input records on it ---------------------------
+
+def _mixed_input():
+    """7 areas of all four orientations, with a constant (degenerate) cost row, so that
+    every mask and the interval rows of the operands are set."""
+    values = np.random.default_rng(3).random((7, 4, 3))
+    values[:, 1] = 0.5
+    return make_input(values, orientations=KINDS + (Orientation("interval", 0.25, 0.75),))
+
+
+@pytest.mark.parametrize("rule", [contextlib.nullcontext, _fingerprint_on_worker],
+                         ids=["calling", "worker"])
+def test_a_second_run_of_an_input_hashes_and_standardizes_nothing(rule):
+    inp = _mixed_input()
+    with rule(), mock.patch.object(gio, "_fingerprint_metadata",
+                                   wraps=gio._fingerprint_metadata) as hashed, \
+            mock.patch.object(pipeline, "standardization",
+                              wraps=normalize.standardization) as standardized:
+        first = run_assessment(inp)
+        assert (hashed.call_count, standardized.call_count) == (1, 1)
+        second = run_assessment(inp)
+        assert (hashed.call_count, standardized.call_count) == (1, 1)
+    assert first.fingerprint == second.fingerprint == gio.compute_fingerprint(inp)
+
+
+@pytest.mark.parametrize("first, second", [(a, b) for a in ZeroingMode for b in ZeroingMode],
+                         ids=lambda mode: mode.value)
+def test_a_run_after_another_gives_the_bytes_of_a_new_inputs_run(first, second, tmp_path):
+    """Mode ``second`` run on an input already run in mode ``first`` gives the fingerprint,
+    result columns and trace files of mode ``second`` run on a new, equal input."""
+    inp = _mixed_input()
+    run_assessment(inp, RunConfig(zeroing_mode=first))
+    runs = []
+    for name, case in (("reused", inp), ("new", _mixed_input())):
+        report = run_assessment(case, RunConfig(zeroing_mode=second, trace_dir=tmp_path / name))
+        runs.append((report.fingerprint, [report.result.names] + [
+            getattr(report.result, key).tobytes() for key in RESULT_COLUMNS],
+            {path.name: path.read_bytes() for path in (tmp_path / name).iterdir()}))
+    assert runs[0] == runs[1]
+    assert len(runs[0][2]) == 4 + 6 * 7
+
+
+@pytest.mark.parametrize("rule", [contextlib.nullcontext, _fingerprint_on_worker],
+                         ids=["calling", "worker"])
+def test_a_run_whose_hash_raises_records_no_fingerprint(rule):
+    inp = _mixed_input()
+    for failing in (lambda: mock.patch.object(gio, "_fingerprint_metadata",
+                                              side_effect=OSError("metadata")),
+                    lambda: _metadata_half(mock.Mock(side_effect=OSError("scores")))):
+        for _ in range(2):  # the next run hashes, and raises, again
+            with rule(), failing(), pytest.raises(OSError):
+                run_assessment(inp)
+            assert not hasattr(inp, "_fingerprint")
+    with rule():
+        assert run_assessment(inp).fingerprint == gio.compute_fingerprint(inp)
+
+
+def test_a_replaced_input_reports_its_own_fingerprint():
+    inp = _mixed_input()
+    run_assessment(inp)
+    replaced = dataclasses.replace(inp, time_weights=[0.5, 0.25, 0.25])
+    report = run_assessment(replaced)
+    assert report.fingerprint == gio.compute_fingerprint(replaced)
+    assert report.fingerprint != gio.compute_fingerprint(inp)
+    assert report.result.config_echo["time_weight_sum"] == 1.0
+
+
+def test_the_recorded_operands_are_read_only():
+    inp = _mixed_input()
+    run_assessment(inp)
+    operands = inp._operands
+    arrays = [a for a in (*operands[:-1], *operands.interval) if a is not None]
+    assert len(arrays) == 10  # sub, div, the three masks, fill and the interval rows' four
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[...] = arr
 
 
 # --- block boundaries and index order --------------------------------------

@@ -24,12 +24,11 @@ def weighted_and_ideals(mats, lam=None, theta=None):
     lam = np.ones(m) if lam is None else lam
     theta = np.ones(T) if theta is None else theta
     indices = [IndexDefinition(f"e{j}", f"e{j}", Orientation("benefit"), 1.0) for j in range(m)]
-    extrema = index_extrema(values)
-    c = weigh(normalize.standardize(values, normalize.standardization(values, indices, extrema)),
-              lam, theta)
-    c_pos, c_neg, _ = pipeline._ideals_and_volumes(values, indices, lam, theta,
+    operands = normalize.standardization(values, indices, index_extrema(values))
+    c = weigh(normalize.standardize(values, operands), lam, theta)
+    c_pos, c_neg, _ = pipeline._ideals_and_volumes(values, operands, lam, theta,
                                                    ZeroingMode.FIRST_COLUMN,
-                                                   gio.TraceWriter(None, None), extrema)
+                                                   gio.TraceWriter(None, None))
     return c, c_pos, c_neg
 
 
